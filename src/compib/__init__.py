@@ -18,8 +18,7 @@ from .polynomials import (Poly, discriminant, isolate_real_roots, resultant,
 from .simplest_quartic import (d3_partial_search, make_simplest_quartic,
                                olajos_generators, verify_theorem_cq)
 from .solver import (BoundsRecord, Generator, SolverReport, bounds_hold,
-                     solve, solve_F_in_y1, solve_norm_unit_y1,
-                     theorem_main_bounds)
+                     solve, solve_norm_unit_y1, theorem_main_bounds)
 
 __version__ = "0.1.0"
 
@@ -48,7 +47,6 @@ __all__ = [
     "olajos_generators",
     "resultant",
     "solve",
-    "solve_F_in_y1",
     "solve_norm_unit_y1",
     "sturm_real_root_count",
     "theorem_main_bounds",

@@ -50,8 +50,12 @@ def _int_list(text: str) -> tuple[int, ...]:
         )
 
 
+def _precision_cap(args) -> int:
+    return args.precision_cap if args.precision_cap is not None else PREC_CAP
+
+
 def _load_base_field(args):
-    cap = args.precision_cap if args.precision_cap is not None else PREC_CAP
+    cap = _precision_cap(args)
     if args.a is not None:
         return make_simplest_quartic(args.a, precision_cap=cap)
     try:
@@ -198,7 +202,7 @@ def _cmd_check_example5(args) -> int:
     checks = []
 
     L = make_field(OCTIC_FIELD_POLY, basis, expected_disc=OCTIC_FIELD_DISC,
-                   precision_cap=args.precision_cap or PREC_CAP)
+                   precision_cap=_precision_cap(args))
     checks.append(("base field discriminant is 1957", L.disc == OCTIC_FIELD_DISC,
                    f"D_L = {L.disc}"))
 

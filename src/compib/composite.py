@@ -18,8 +18,8 @@ interval arithmetic, which gives a nontrivial identity to test end to end.
 For the characteristic polynomial the relative norm to L is taken first:
 N_{K/L}(t - alpha) = t^2 - (2*beta + s1*gamma)*t + (beta^2 + s1*beta*gamma
 + s0*gamma^2) with s1, s0 the trace and norm of omega, and x is then
-eliminated by a resultant with f.  A literal omega-then-x elimination order
-is kept as a slow reference implementation; the two agree (see tests).
+eliminated by a resultant with f.  The unscaling and the index tail are the
+ones of ``numberfield``, shared with ``NumberField``.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ import math
 from fractions import Fraction
 
 from .errors import CoprimalityError, InternalInvariantError, ValidationError
-from .intervals import PREC_START, escalate
-from .intutil import exact_sqrt
+from .intervals import PREC_START, escalate, int_combination
 from .imquad import ImagQuadField
-from .numberfield import NumberField
-from .polynomials import Poly, discriminant, poly_mod_monic, resultant
+from .numberfield import NumberField, index_from_char_resultant, unscale_char_poly
+from .polynomials import Poly, poly_mod_monic, resultant
 
 
 class CompositeField:
@@ -111,62 +110,14 @@ class CompositeField:
 
     def char_poly(self, xs, ys) -> Poly:
         """Monic characteristic polynomial of alpha over Q, degree 2n."""
-        r, d = self._scaled_char_resultant(xs, ys)
-        m = 2 * self.n
-        return Poly([Fraction(c, d ** (m - k)) for k, c in enumerate(r.coeffs)])
+        return unscale_char_poly(*self._scaled_char_resultant(xs, ys))
 
     def composite_index(self, xs, ys) -> int:
         """Index of alpha in Z_K; zero exactly when alpha is not primitive."""
         r, d = self._scaled_char_resultant(xs, ys)
-        m = 2 * self.n
-        disc_r = discriminant(r)
-        if disc_r == 0:
-            return 0
-        disc_char, rem = divmod(disc_r, d ** (m * (m - 1)))
-        if rem:
-            raise InternalInvariantError("discriminant scaling is not exact")
-        q, rem = divmod(abs(disc_char), abs(self.disc))
-        if rem:
-            raise InternalInvariantError("element discriminant is not a multiple of D_K")
-        s = exact_sqrt(q)
-        if s is None:
-            raise InternalInvariantError("index squared is not a perfect square")
-        return s
+        return index_from_char_resultant(r, d, self.disc)
 
     # -- certified factor computations -------------------------------------------
-
-    def relative_index_form(self, xs, ys) -> tuple[int, int]:
-        """I_rel at X_i = x_i + omega*y_i as an omega-integer (a, b)."""
-        xs, ys = self._check_coords(xs, ys)
-        L, M = self.L, self.M
-        u = M.omega_re
-
-        def task(prec):
-            emb = L.embeddings(prec)
-            vv, vr = M.im_omega(prec)
-            re = emb.recip_sqrt_disc
-            im = re * 0
-            for diffs in emb.diffs:
-                xp = diffs[0] * xs[1]
-                yp = diffs[0] * ys[1]
-                for k in range(1, self.n - 1):
-                    if xs[k + 1]:
-                        xp = xp + diffs[k] * xs[k + 1]
-                    if ys[k + 1]:
-                        yp = yp + diffs[k] * ys[k + 1]
-                # factor (xp + omega*yp) = (xp + u*yp) + i*v*yp
-                fre = xp + yp * u if u else xp
-                fim = vv * yp
-                re, im = re * fre - im * fim, re * fim + im * fre
-            bv = (im * vr).certify_integer(must=True)
-            if bv is None:
-                return None
-            av = (re - u * bv).certify_integer(must=True) if u else re.certify_integer(must=True)
-            if av is None:
-                return None
-            return av, bv
-
-        return escalate(task, start=PREC_START, cap=self.L.precision_cap)
 
     def factor_eq1(self, xs, ys) -> int:
         """N_{M/Q} of the relative index form; a non-negative integer."""
@@ -176,18 +127,14 @@ class CompositeField:
         v_sq = M.im_omega_sq
 
         recip_disc = Fraction(1, L.disc)
+        xt, yt = xs[1:], ys[1:]
 
         def task(prec):
             emb = L.embeddings(prec)
             prod = None
             for diffs in emb.diffs:
-                xp = diffs[0] * xs[1]
-                yp = diffs[0] * ys[1]
-                for k in range(1, self.n - 1):
-                    if xs[k + 1]:
-                        xp = xp + diffs[k] * xs[k + 1]
-                    if ys[k + 1]:
-                        yp = yp + diffs[k] * ys[k + 1]
+                xp = int_combination(diffs, xt)
+                yp = int_combination(diffs, yt)
                 re = xp + yp * u if u else xp
                 term = re * re + yp * yp * v_sq
                 prod = term if prod is None else prod * term
@@ -214,21 +161,15 @@ class CompositeField:
         u = M.omega_re
         v_sq = M.im_omega_sq
         e = self.n * (self.n - 1) // 2
+        xt, yt = xs[1:], ys[1:]
 
         def task(prec):
             emb = L.embeddings(prec)
             prod = None
             for diffs, sums in zip(emb.diffs, emb.sums):
-                xd = diffs[0] * xs[1]
-                yd = diffs[0] * ys[1]
-                ysum = sums[0] * ys[1]
-                for k in range(1, self.n - 1):
-                    if xs[k + 1]:
-                        xd = xd + diffs[k] * xs[k + 1]
-                    if ys[k + 1]:
-                        yd = yd + diffs[k] * ys[k + 1]
-                        ysum = ysum + sums[k] * ys[k + 1]
-                ysum = ysum + 2 * ys[0]
+                xd = int_combination(diffs, xt)
+                yd = int_combination(diffs, yt)
+                ysum = int_combination(sums, yt) + 2 * ys[0]
                 re = xd + yd * u if u else xd
                 term = re * re + ysum * ysum * v_sq
                 prod = term if prod is None else prod * term
@@ -261,31 +202,3 @@ def make_composite(L: NumberField, M: ImagQuadField) -> CompositeField:
         )
     return CompositeField(L, M)
 
-
-def _char_poly_reference(K: CompositeField, xs, ys) -> Poly:
-    """Slow omega-first elimination used only to cross-check char_poly."""
-    xs, ys = K._check_coords(xs, ys)
-    n = K.n
-    beta = K.L.to_power_coeffs(xs)
-    gamma = K.L.to_power_coeffs(ys)
-
-    def t_const(fr):
-        return Poly([Fraction(fr)])
-
-    def yt_const(fr):
-        return Poly([t_const(fr)])
-
-    # t - beta(x) - y*gamma(x) as an x-polynomial over Q[y][t]
-    coeffs_x = []
-    for i in range(n):
-        c0 = Poly([Fraction(-beta[i]), Fraction(1)]) if i == 0 else t_const(-beta[i])
-        coeffs_x.append(Poly([c0, t_const(-gamma[i])]))
-    f_lift = Poly([yt_const(c) for c in K.L.f.coeffs])
-    inner = resultant(f_lift, Poly(coeffs_x))
-    if not isinstance(inner, Poly):
-        inner = Poly([t_const(inner)])
-    g_lift = Poly([t_const(c) for c in K.M.min_poly_omega.coeffs])
-    outer = resultant(g_lift, inner)
-    if not isinstance(outer, Poly):
-        outer = Poly([Fraction(outer)])
-    return outer.map_coeffs(Fraction)

@@ -31,14 +31,6 @@ class ImagQuadField:
         self.im_omega_sq = Fraction(d, 4) if residue else Fraction(d)
         self._im_cache: dict[int, tuple[RealInterval, RealInterval]] = {}
 
-    def quad_norm(self, a: int, b: int) -> int:
-        """Norm of a + b*omega down to Q."""
-        return a * a + self.omega_trace * a * b + self.omega_norm * b * b
-
-    def conj_coords(self, a: int, b: int) -> tuple[int, int]:
-        """Coordinates of the complex conjugate of a + b*omega."""
-        return a + self.omega_trace * b, -b
-
     def im_omega(self, prec: int) -> tuple[RealInterval, RealInterval]:
         """Enclosures of Im(omega) and 1/Im(omega)."""
         hit = self._im_cache.get(prec)

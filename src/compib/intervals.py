@@ -21,10 +21,6 @@ PREC_START = 128
 PREC_CAP = 8192
 
 
-def _floor_div(a: int, b: int) -> int:
-    return a // b
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
@@ -50,7 +46,7 @@ class RealInterval:
     def from_fraction(cls, fr: Fraction, prec: int) -> RealInterval:
         num = fr.numerator << prec
         den = fr.denominator
-        return cls(_floor_div(num, den), _ceil_div(num, den), prec)
+        return cls(num // den, _ceil_div(num, den), prec)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -76,7 +72,7 @@ class RealInterval:
 
     def __sub__(self, other):
         if isinstance(other, (RealInterval, int, Fraction)):
-            return self + (-other if isinstance(other, RealInterval) else -other)
+            return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -99,7 +95,7 @@ class RealInterval:
             a, b = self.lo * num, self.hi * num
             if a > b:
                 a, b = b, a
-            return RealInterval(_floor_div(a, den), _ceil_div(b, den), p)
+            return RealInterval(a // den, _ceil_div(b, den), p)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -108,25 +104,12 @@ class RealInterval:
         """1/self for an interval not containing zero."""
         if self.lo > 0:
             one = 1 << (2 * self.prec)
-            return RealInterval(_floor_div(one, self.hi), _ceil_div(one, self.lo), self.prec)
+            return RealInterval(one // self.hi, _ceil_div(one, self.lo), self.prec)
         if self.hi < 0:
             return -((-self).recip())
         raise InternalInvariantError("reciprocal of interval containing zero")
 
     # -- queries ------------------------------------------------------------
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def is_positive(self) -> bool:
-        return self.lo > 0
-
-    def is_negative(self) -> bool:
-        return self.hi < 0
-
-    def excludes_integers_beyond(self, bound: int) -> bool:
-        """True iff every point of the interval has absolute value > bound."""
-        return self.lo > (bound << self.prec) or self.hi < (-bound << self.prec)
 
     def width(self) -> Fraction:
         return Fraction(self.hi - self.lo, 1 << self.prec)
@@ -170,53 +153,6 @@ class RealInterval:
         return f"RealInterval({float(self.mid()):.6g} ± {float(self.width()) / 2:.3g} @{self.prec}b)"
 
 
-class ComplexInterval:
-    """Rectangular enclosure of a complex number (independent re/im intervals)."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: RealInterval, im: RealInterval):
-        self.re = re
-        self.im = im
-
-    @classmethod
-    def from_real(cls, re: RealInterval) -> ComplexInterval:
-        zero = RealInterval(0, 0, re.prec)
-        return cls(re, zero)
-
-    def __add__(self, other):
-        if isinstance(other, ComplexInterval):
-            return ComplexInterval(self.re + other.re, self.im + other.im)
-        return ComplexInterval(self.re + other, self.im)
-
-    def __sub__(self, other):
-        if isinstance(other, ComplexInterval):
-            return ComplexInterval(self.re - other.re, self.im - other.im)
-        return ComplexInterval(self.re - other, self.im)
-
-    def __neg__(self):
-        return ComplexInterval(-self.re, -self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexInterval):
-            return ComplexInterval(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return ComplexInterval(self.re * other, self.im * other)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> ComplexInterval:
-        return ComplexInterval(self.re, -self.im)
-
-    def contains_zero(self) -> bool:
-        return self.re.contains_zero() and self.im.contains_zero()
-
-    def __repr__(self):
-        return f"ComplexInterval({self.re!r}, {self.im!r})"
-
-
 def sqrt_int(m: int, prec: int) -> RealInterval:
     """Certified enclosure of sqrt(m) for an integer m >= 0."""
     if m < 0:
@@ -224,6 +160,20 @@ def sqrt_int(m: int, prec: int) -> RealInterval:
     s = math.isqrt(m << (2 * prec))
     hi = s if s * s == m << (2 * prec) else s + 1
     return RealInterval(s, hi, prec)
+
+
+def int_combination(vals, coeffs) -> RealInterval:
+    """Enclosure of sum(vals[k] * coeffs[k]) for integer coefficients.
+
+    Scaling by an integer and adding are exact on the dyadic grid, so the
+    result is as tight as its terms.  The first term is always formed, so an
+    all-zero combination gives the zero interval.
+    """
+    acc = vals[0] * coeffs[0]
+    for k in range(1, len(coeffs)):
+        if coeffs[k]:
+            acc = acc + vals[k] * coeffs[k]
+    return acc
 
 
 def escalate(task, *, start: int = PREC_START, cap: int = PREC_CAP):

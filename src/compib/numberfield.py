@@ -20,7 +20,8 @@ import math
 from fractions import Fraction
 
 from .errors import InternalInvariantError, ValidationError
-from .intervals import PREC_CAP, PREC_START, RealInterval, escalate, sqrt_int
+from .intervals import (PREC_CAP, PREC_START, RealInterval, escalate, int_combination,
+                        sqrt_int)
 from .intutil import exact_sqrt
 from .polynomials import (
     IsolatedRoot,
@@ -44,6 +45,35 @@ def _fixed_decimal(fr: Fraction, places: int) -> str:
     q = abs(q)
     whole, frac = divmod(q, 10**places)
     return f"{sign}{whole}.{frac:0{places}d}"
+
+
+def unscale_char_poly(r: Poly, denom: int) -> Poly:
+    """char_alpha(t) = R(denom*t) / denom^m for R the monic characteristic
+    polynomial (degree m) of denom*alpha."""
+    m = r.degree
+    return Poly([Fraction(c, denom ** (m - k)) for k, c in enumerate(r.coeffs)])
+
+
+def index_from_char_resultant(r: Poly, denom: int, disc: int) -> int:
+    """Index of alpha in the order of discriminant disc, from R as above.
+
+    disc(char_alpha) = disc(R) / denom^(m(m-1)) = index^2 * disc exactly;
+    the index is zero exactly when alpha is not primitive.
+    """
+    disc_r = discriminant(r)
+    if disc_r == 0:
+        return 0
+    m = r.degree
+    disc_char, rem = divmod(disc_r, denom ** (m * (m - 1)))
+    if rem:
+        raise InternalInvariantError("discriminant scaling is not exact")
+    q, rem = divmod(abs(disc_char), abs(disc))
+    if rem:
+        raise InternalInvariantError("element discriminant is not a multiple of the field discriminant")
+    s = exact_sqrt(q)
+    if s is None:
+        raise InternalInvariantError("index squared is not a perfect square")
+    return s
 
 
 def _invert_matrix(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], Fraction]:
@@ -281,8 +311,7 @@ class NumberField:
 
     def char_poly(self, coords) -> Poly:
         """Monic characteristic polynomial (degree n) of the element."""
-        r, d = self._scaled_char_resultant(coords)
-        return Poly([Fraction(c, d ** (self.n - k)) for k, c in enumerate(r.coeffs)])
+        return unscale_char_poly(*self._scaled_char_resultant(coords))
 
     def element_norm(self, coords) -> int:
         if not all(isinstance(c, int) for c in coords):
@@ -306,21 +335,7 @@ class NumberField:
         if not all(isinstance(c, int) for c in xs):
             raise ValidationError("index requires integral coordinates")
         r, d = self._scaled_char_resultant((0, *xs))
-        if r.degree <= 0:
-            return 0
-        disc_r = discriminant(r)
-        if disc_r == 0:
-            return 0
-        disc_char, rem = divmod(disc_r, d ** (self.n * (self.n - 1)))
-        if rem:
-            raise InternalInvariantError("discriminant scaling is not exact")
-        q, rem = divmod(abs(disc_char), self.disc)
-        if rem:
-            raise InternalInvariantError("element discriminant is not a multiple of the field discriminant")
-        s = exact_sqrt(q)
-        if s is None:
-            raise InternalInvariantError("index squared is not a perfect square")
-        return s
+        return index_from_char_resultant(r, d, self.disc)
 
     # -- certified-interval machinery -----------------------------------------
 
@@ -335,11 +350,7 @@ class NumberField:
         emb = self.embeddings(prec)
         prod = emb.recip_sqrt_disc
         for diffs in emb.diffs:
-            acc = diffs[0] * xs[0]
-            for k in range(1, len(xs)):
-                if xs[k]:
-                    acc = acc + diffs[k] * xs[k]
-            prod = prod * acc
+            prod = prod * int_combination(diffs, xs)
         return prod
 
     def _certified_index_value(self, xs) -> int:
@@ -422,6 +433,9 @@ def make_field(poly_coeffs, basis_rows, expected_disc: int | None = None,
     basis is trusted to span the maximal order; closure and discriminant
     agreement are the verifiable parts of that claim.
     """
+    if not isinstance(precision_cap, int) or isinstance(precision_cap, bool) \
+            or precision_cap < PREC_START:
+        raise ValidationError(f"precision cap must be an integer >= {PREC_START} bits")
     try:
         f = poly_from_ints(poly_coeffs)
     except (TypeError, ValueError):

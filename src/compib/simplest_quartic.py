@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import time
 from fractions import Fraction
 
@@ -138,7 +139,6 @@ def _solve_a_group(args) -> tuple[int, list[dict], float]:
             "completeness": report.completeness,
             "generators": [g.to_dict() for g in report.generators],
             "candidates_tested": report.candidates_tested,
-            "ms": None,
         })
     return a, rows, time.monotonic() - t0
 
@@ -158,7 +158,7 @@ def verify_theorem_cq(a_max: int = 20, d_max: int = 30, box_radius: int = 20,
     d_values = list(range(1, d_max + 1))
     tasks = [(a, d_values, box_radius) for a in range(1, a_max + 1)]
     if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
+        with multiprocessing.Pool(min(jobs, len(tasks), os.cpu_count() or 1)) as pool:
             grouped = pool.map(_solve_a_group, tasks)
     else:
         grouped = []

@@ -24,13 +24,13 @@ through the exact factor chain (eq1, eq2, F) and the exact index.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .composite import CompositeField
 from .errors import InternalInvariantError, ValidationError
+from .intervals import int_combination
 from .intutil import floor_sqrt_fraction, is_prime
 from .numberfield import NumberField
 from .polynomials import Poly
@@ -139,53 +139,12 @@ def solve_norm_unit_y1(L: NumberField, ytail) -> tuple[int, ...]:
     prec = 128
     emb = L.embeddings(prec)
     cands: set[int] = set()
-    for j in range(L.n):
-        acc = None
-        for i, y in enumerate(ytail):
-            if y:
-                term = emb.basis_vals[j][i + 1] * (-y)
-                acc = term if acc is None else acc + term
-        if acc is None:
-            lo_f, hi_f = Fraction(0), Fraction(0)
-        else:
-            lo_f = Fraction(acc.lo, 1 << prec)
-            hi_f = Fraction(acc.hi, 1 << prec)
-        lo = math.floor(lo_f - 1)
-        hi = math.ceil(hi_f + 1)
+    for vals in emb.basis_vals:
+        acc = int_combination(vals[1:], neg[1:])
+        lo = math.floor(Fraction(acc.lo, 1 << prec) - 1)
+        hi = math.ceil(Fraction(acc.hi, 1 << prec) + 1)
         cands.update(range(lo, hi + 1))
     return tuple(sorted(t for t in cands if abs(g.evaluate(t)) == 1))
-
-
-def solve_F_in_y1(K: CompositeField, xs_tail, ys_tail) -> tuple[int, ...]:
-    """All integers y1 with |F(x, y)| = 1 for the given coordinate tails.
-
-    Every cross-difference factor carries y1 with the coefficient
-    omega - conj(omega), so |Im| grows linearly in y1 in each factor and a
-    scan radius follows from interval upper bounds at y1 = 0.
-    """
-    xs_tail, ys_tail = tuple(xs_tail), tuple(ys_tail)
-    n = K.n
-    if len(xs_tail) != n - 1 or len(ys_tail) != n - 1:
-        raise ValidationError(f"expected {n - 1} coordinates in each tail")
-    prec = 128
-    emb = K.L.embeddings(prec)
-    umax = Fraction(0)
-    for sums in emb.sums:
-        acc = None
-        for k, y in enumerate(ys_tail):
-            if y:
-                term = sums[k] * y
-                acc = term if acc is None else acc + term
-        if acc is not None:
-            bound = max(abs(acc.lo), abs(acc.hi))
-            umax = max(umax, Fraction(bound, 1 << prec))
-    radius = int(umax / 2) + 2
-    xs = (0, *xs_tail)
-    out = []
-    for y1 in range(-radius, radius + 1):
-        if abs(K.factor_F(xs, (y1, *ys_tail))) == 1:
-            out.append(y1)
-    return tuple(out)
 
 
 # -- candidate reporting -------------------------------------------------------
@@ -368,70 +327,45 @@ def solve(K: CompositeField, pib_source="box", box_radius: int = 20,
     if bounds.forces_zero_y:
         assumptions.append("the y-part bound is below 1, forcing the y-part index form to vanish")
 
-    zero_vec = (0,) * (n - 1)
-    x_units = [zero_vec, *_signed(pib), *_signed(zero_idx)]
-    y_zero_like = [zero_vec, *_signed(zero_idx)]
-
-    candidates: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-
-    def add(xs_tail, y1, ytail):
-        candidates.add(_canonical_candidate(xs_tail, (y1, *ytail)))
-
-    y1_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def y1_options(ytail) -> tuple[int, ...]:
-        if ytail not in y1_cache:
-            y1_cache[ytail] = solve_norm_unit_y1(L, ytail)
-        return y1_cache[ytail]
-
-    if regime == NONRES_D1:
-        y_tails = [zero_vec, *_signed(pib), *_signed(zero_idx)]
-        for ytail in y_tails:
-            for y1 in y1_options(ytail):
-                for xs_tail in x_units:
-                    add(xs_tail, y1, ytail)
-    elif regime == NONRES_DGT1:
-        for ytail in y_zero_like:
-            for y1 in y1_options(ytail):
-                for xs_tail in x_units:
-                    add(xs_tail, y1, ytail)
-    elif regime == RES_DGT3:
-        for ytail in y_zero_like:
-            if ytail == zero_vec:
-                # z = 2x: the z-bound collapses to the unit condition on x
-                for y1 in y1_options(ytail):
-                    for xs_tail in x_units:
-                        add(xs_tail, y1, ytail)
-            else:
-                zs = [zero_vec, *_signed(v for v, _ in L.enumerate_bounded_index(bounds.bound_main, radius)),
-                      *_signed(zero_idx)]
-                for z in zs:
-                    if any((zi - yi) % 2 for zi, yi in zip(z, ytail)):
-                        continue
-                    xs_tail = tuple((zi - yi) // 2 for zi, yi in zip(z, ytail))
-                    for y1 in y1_options(ytail):
-                        add(xs_tail, y1, ytail)
-        if zero_idx:
-            assumptions.append(
-                f"z-part candidates for subfield y-parts swept only inside the box |z_i| <= {radius}"
-            )
-    elif regime == RES_D3:
-        z_pool = [zero_vec, *_signed(v for v, _ in L.enumerate_bounded_index(bounds.bound_main, radius)),
-                  *_signed(zero_idx)]
-        y_pool = [zero_vec, *_signed(v for v, _ in L.enumerate_bounded_index(bounds.bound_y_floor, radius)),
-                  *_signed(zero_idx)]
+    if regime == RES_D3:
         assumptions.append(
             f"elements of index up to {bounds.bound_main} (z-part) and up to "
             f"{bounds.bound_y_floor} (y-part) enumerated only inside the box |x_i| <= {radius}"
         )
-        for z, ytail in itertools.product(z_pool, y_pool):
-            if any((zi - yi) % 2 for zi, yi in zip(z, ytail)):
-                continue
-            xs_tail = tuple((zi - yi) // 2 for zi, yi in zip(z, ytail))
-            for y1 in y1_options(ytail):
-                add(xs_tail, y1, ytail)
+    elif regime == RES_DGT3 and zero_idx:
+        assumptions.append(
+            f"z-part candidates for subfield y-parts swept only inside the box |z_i| <= {radius}"
+        )
+
+    # y-parts: 0, the subfield zeros, and the elements allowed by the y-bound
+    zero_vec = (0,) * (n - 1)
+    if bounds.forces_zero_y:
+        y_units: tuple[tuple[int, ...], ...] = ()
+    elif regime == RES_D3:
+        y_units = tuple(v for v, _ in L.enumerate_bounded_index(bounds.bound_y_floor, radius))
     else:
-        raise InternalInvariantError(f"unknown regime {regime}")
+        y_units = pib
+    y_tails = [zero_vec, *_signed(y_units), *_signed(zero_idx)]
+    x_units = [zero_vec, *_signed(pib), *_signed(zero_idx)]
+    z_pool = None
+
+    # the y-tails are distinct, so each y1 equation is solved at most once
+    candidates: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    for ytail in y_tails:
+        if not K.M.residue or (regime == RES_DGT3 and ytail == zero_vec):
+            # the x-bound itself, or z = 2x: the z-bound collapses to the unit condition on x
+            xs_tails = x_units
+        else:
+            # x = (z - y)/2 over the z-pool, swept once and only when needed
+            if z_pool is None:
+                z_pool = [zero_vec, *_signed(v for v, _ in L.enumerate_bounded_index(bounds.bound_main, radius)),
+                          *_signed(zero_idx)]
+            xs_tails = [tuple((zi - yi) // 2 for zi, yi in zip(z, ytail)) for z in z_pool
+                        if not any((zi - yi) % 2 for zi, yi in zip(z, ytail))]
+        if xs_tails:
+            for y1 in solve_norm_unit_y1(L, ytail):
+                for xs_tail in xs_tails:
+                    candidates.add(_canonical_candidate(xs_tail, (y1, *ytail)))
 
     traces = []
     generators = []
@@ -442,14 +376,10 @@ def solve(K: CompositeField, pib_source="box", box_radius: int = 20,
             generators.append(Generator(xs_tail, ys, trace.eq1, trace.eq2,
                                         trace.f_value, trace.index))
 
-    if regime == RES_D3:
-        completeness = BOX_LIMITED
-    elif not pib_explicit:
+    if regime == RES_D3 or not pib_explicit or zero_idx:
         completeness = BOX_LIMITED
     elif is_prime(n):
         completeness = COMPLETE
-    elif zero_idx:
-        completeness = BOX_LIMITED
     else:
         completeness = PAPER_CASE_LOGIC
 

@@ -109,6 +109,13 @@ def test_exit_code_validation():
     assert main(["index", "--a", "2", "--coords", "1,2"]) == 3
 
 
+def test_precision_cap_is_validated_up_front():
+    # a cap below the starting precision is bad input, whichever command reads it
+    assert main(["--precision-cap", "64", "solve", "--a", "2", "--d", "7", "--box", "2"]) == 3
+    assert main(["--precision-cap", "0", "index", "--a", "2", "--coords", "0,1,0"]) == 3
+    assert main(["--precision-cap", "0", "check-example5"]) == 3
+
+
 def test_exit_code_parse():
     with pytest.raises(SystemExit) as exc:
         main(["index", "--a", "2", "--coords", "1,x,3"])
@@ -134,4 +141,4 @@ def test_timings_go_to_stderr(capsys, tmp_path):
     # the JSON report itself carries no wall-clock data
     assert "cells in" not in p.read_text()
     rep = json.loads(p.read_text())
-    assert all(r["ms"] is None for r in rep["rows"] if r["status"] == "OK")
+    assert all("ms" not in r for r in rep["rows"] if r["status"] == "OK")

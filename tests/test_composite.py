@@ -1,11 +1,42 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
 
-from compib.composite import _char_poly_reference, make_composite
+from compib.composite import make_composite
 from compib.errors import CoprimalityError, ValidationError
 from compib.imquad import make_imq
+from compib.polynomials import Poly, resultant
+
+
+def _char_poly_reference(K, xs, ys) -> Poly:
+    """Oracle for char_poly: eliminate omega-first, literally, over Q[y][t]."""
+    xs, ys = K._check_coords(xs, ys)
+    n = K.n
+    beta = K.L.to_power_coeffs(xs)
+    gamma = K.L.to_power_coeffs(ys)
+
+    def t_const(fr):
+        return Poly([Fraction(fr)])
+
+    def yt_const(fr):
+        return Poly([t_const(fr)])
+
+    # t - beta(x) - y*gamma(x) as an x-polynomial over Q[y][t]
+    coeffs_x = []
+    for i in range(n):
+        c0 = Poly([Fraction(-beta[i]), Fraction(1)]) if i == 0 else t_const(-beta[i])
+        coeffs_x.append(Poly([c0, t_const(-gamma[i])]))
+    f_lift = Poly([yt_const(c) for c in K.L.f.coeffs])
+    inner = resultant(f_lift, Poly(coeffs_x))
+    if not isinstance(inner, Poly):
+        inner = Poly([t_const(inner)])
+    g_lift = Poly([t_const(c) for c in K.M.min_poly_omega.coeffs])
+    outer = resultant(g_lift, inner)
+    if not isinstance(outer, Poly):
+        outer = Poly([Fraction(outer)])
+    return outer.map_coeffs(Fraction)
 
 
 def test_disc_law(octic_L, fam1, K_octic):
@@ -41,10 +72,6 @@ def test_translation_invariance(K_octic):
     base = K_octic.composite_index(xs, ys)
     shifted = K_octic.composite_index((5, 2, -1, 0), ys)
     assert base == shifted
-
-
-def test_relative_index_form(K_octic):
-    assert K_octic.relative_index_form((0, 0, 0, 0), (0, 1, 0, 0)) == (-1, 0)
 
 
 def test_factorization_identity_random(K_octic, fam1):

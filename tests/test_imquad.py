@@ -27,27 +27,6 @@ def test_omega_min_poly():
     assert M2.im_omega_sq == Fraction(7, 4)
 
 
-def test_quad_norm():
-    M = make_imq(3)  # omega = (1+i sqrt 3)/2, norm a^2+ab+b^2
-    assert M.quad_norm(1, 0) == 1
-    assert M.quad_norm(0, 1) == 1
-    assert M.quad_norm(2, -1) == 3
-    M = make_imq(2)  # omega = i sqrt 2
-    assert M.quad_norm(3, 2) == 9 + 2 * 4
-    # norms of imaginary quadratic integers are never negative
-    for a in range(-4, 5):
-        for b in range(-4, 5):
-            assert M.quad_norm(a, b) >= 0
-
-
-def test_conj_preserves_norm():
-    for d in (1, 2, 3, 7, 10):
-        M = make_imq(d)
-        for a, b in ((3, 2), (-1, 5), (0, -2), (4, 0)):
-            ca, cb = M.conj_coords(a, b)
-            assert M.quad_norm(ca, cb) == M.quad_norm(a, b)
-
-
 def test_im_omega_interval():
     M = make_imq(7)
     v, rv = M.im_omega(96)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compib.errors import InternalInvariantError, PrecisionError
-from compib.intervals import (ComplexInterval, RealInterval, escalate,
+from compib.intervals import (RealInterval, escalate, int_combination,
                               sqrt_int)
 
 rationals = st.fractions(min_value=-1000, max_value=1000,
@@ -82,12 +82,11 @@ def test_escalate_returns_first_success():
     assert calls == [64, 128, 256]
 
 
-def test_complex_mul_contains():
-    a = ComplexInterval(RealInterval.from_fraction(Fraction(1, 3), 80),
-                        RealInterval.from_fraction(Fraction(2, 5), 80))
-    b = ComplexInterval(RealInterval.from_fraction(Fraction(-3, 7), 80),
-                        RealInterval.from_fraction(Fraction(1, 2), 80))
-    prod = a * b
-    # (1/3 + 2i/5)(-3/7 + i/2) = (1/3*-3/7 - 2/5*1/2) + i(1/3*1/2 + 2/5*-3/7)
-    assert prod.re.contains_fraction(Fraction(1, 3) * Fraction(-3, 7) - Fraction(2, 5) * Fraction(1, 2))
-    assert prod.im.contains_fraction(Fraction(1, 3) * Fraction(1, 2) + Fraction(2, 5) * Fraction(-3, 7))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(rationals, st.integers(-10**6, 10**6) | st.just(0)),
+                min_size=1, max_size=6))
+def test_int_combination_contains(terms):
+    vals = [RealInterval.from_fraction(q, 128) for q, _ in terms]
+    coeffs = [c for _, c in terms]
+    acc = int_combination(vals, coeffs)
+    assert acc.contains_fraction(sum(c * q for q, c in terms))

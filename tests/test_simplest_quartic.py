@@ -4,6 +4,7 @@ import math
 import pytest
 import sympy
 
+from compib import simplest_quartic
 from compib.errors import ValidationError
 from compib.numberfield import _invert_matrix
 from compib.polynomials import Poly, discriminant, sturm_real_root_count
@@ -134,13 +135,36 @@ def test_grid_small():
     ran = [r for r in rep["rows"] if r["status"] == "OK"]
     assert ran and all(r["verdict"] == "NOT_MONOGENIC" for r in ran)
     assert rep["all_not_monogenic"] and rep["counterexamples"] == []
-    assert all(r["ms"] is None for r in ran)
+    assert all("ms" not in r for r in ran)
 
 
 def test_grid_parallel_matches_serial():
     serial = verify_theorem_cq(a_max=5, d_max=6, box_radius=6, jobs=1)
     parallel = verify_theorem_cq(a_max=5, d_max=6, box_radius=6, jobs=3)
     assert serial == parallel
+
+
+def test_grid_pool_clamped_to_cpu_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(simplest_quartic.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(simplest_quartic.os, "cpu_count", lambda: 2)
+    rep = verify_theorem_cq(a_max=3, d_max=2, box_radius=2, jobs=64)
+    assert sizes == [2]
+    assert rep == verify_theorem_cq(a_max=3, d_max=2, box_radius=2, jobs=1)
 
 
 def test_grid_validation():

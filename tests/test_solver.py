@@ -7,8 +7,8 @@ from compib.errors import ValidationError
 from compib.imquad import make_imq
 from compib.numberfield import make_field
 from compib.simplest_quartic import make_simplest_quartic, olajos_generators
-from compib.solver import (bounds_hold, solve, solve_F_in_y1,
-                           solve_norm_unit_y1, theorem_main_bounds)
+from compib.solver import (bounds_hold, solve, solve_norm_unit_y1,
+                           theorem_main_bounds)
 
 
 def test_bounds_d3(fam1):
@@ -62,12 +62,28 @@ def test_norm_unit_y1_brute_force(octic_L, fam1):
         assert got == brute
 
 
-def test_F_scan_matches_brute(K_octic):
-    xs_tail, ys_tail = (0, 0, 0), (1, 0, 0)
-    got = solve_F_in_y1(K_octic, xs_tail, ys_tail)
-    brute = tuple(t for t in range(-30, 31)
-                  if abs(K_octic.factor_F((0, *xs_tail), (t, *ys_tail))) == 1)
-    assert got == brute == (0,)
+@pytest.mark.parametrize("base, d, regime, candidates, verdict, completeness", [
+    ("octic", 1, "NONRES_D1", 506, "MONOGENIC", "BOX_LIMITED"),
+    ("octic", 2, "NONRES_DGT1", 23, "NOT_MONOGENIC", "BOX_LIMITED"),
+    ("octic", 3, "RES_D3", 207, "INCONCLUSIVE", "BOX_LIMITED"),
+    ("octic", 7, "RES_DGT3", 23, "NOT_MONOGENIC", "BOX_LIMITED"),
+    ("fam2", 3, "RES_D3", 173, "INCONCLUSIVE", "BOX_LIMITED"),
+    ("fam2", 7, "RES_DGT3", 55, "NOT_MONOGENIC", "BOX_LIMITED"),
+    ("quadratic", 1, "NONRES_D1", 15, "MONOGENIC", "COMPLETE"),
+    ("quadratic", 3, "RES_D3", 11, "INCONCLUSIVE", "BOX_LIMITED"),
+])
+def test_regime_candidate_sets(request, base, d, regime, candidates, verdict, completeness):
+    # octic and fam2 at box 6, the quadratic field Q(sqrt 5) at box 8
+    if base == "octic":
+        L, pib, box = request.getfixturevalue("octic_L"), "box", 6
+    elif base == "fam2":
+        L, pib, box = request.getfixturevalue("fam2"), olajos_generators(2), 6
+    else:
+        L, pib, box = make_field([-1, -1, 1], ((1, 0), (0, 1)), expected_disc=5), [(1,)], 8
+    r = solve(make_composite(L, make_imq(d)), pib_source=pib, box_radius=box,
+              collect_traces=False)
+    assert (r.regime, r.candidates_tested, r.verdict, r.completeness) == (
+        regime, candidates, verdict, completeness)
 
 
 def test_octic_composite_is_monogenic(K_octic):
