@@ -171,7 +171,7 @@ def _cmd_verify_cq(args) -> int:
         progress = lambda line: print(line, file=sys.stderr)
     rep = verify_theorem_cq(a_max=args.a_max, d_max=args.d_max,
                             box_radius=args.box, jobs=args.jobs,
-                            progress=progress)
+                            progress=progress, precision_cap=_precision_cap(args))
     for row in rep["rows"]:
         if row["status"] == "OK":
             _say(args, f"a={row['a']:>2} d={row['d']:>2}  {row['verdict']}"
@@ -185,7 +185,8 @@ def _cmd_verify_cq(args) -> int:
 
 
 def _cmd_d3_search(args) -> int:
-    rep = d3_partial_search(args.a, box_radius=args.box)
+    rep = d3_partial_search(args.a, box_radius=args.box,
+                            precision_cap=_precision_cap(args))
     _say(args,
          f"verdict: {rep['verdict']}",
          f"completeness: {rep['completeness']}",

@@ -265,7 +265,9 @@ class NumberField:
         inv, _ = _invert_matrix([list(r) for r in basis])
         self._basis_inv_cols = inv
         self._emb: dict[int, _Embeddings] = {}
-        self._sweep_cache: dict[tuple, tuple] = {}
+        # 2^e, e = n(n-1)/2: the largest right-hand side of any index-form bound
+        self._index_limit = 2 ** (self.n * (self.n - 1) // 2)
+        self._sweep_cache: dict[int, tuple] = {}
 
     # -- coordinates ---------------------------------------------------------
 
@@ -367,44 +369,35 @@ class NumberField:
             if lead is not None and lead > 0:
                 yield vec
 
-    def enumerate_bounded_index(self, bound: int, radius: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """All coordinate vectors in the box with 1 <= index <= bound.
+    def _small_index_table(self, radius: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Every box vector with |index| <= 2^e, e = n(n-1)/2, as sorted (xs, index).
 
-        One representative per sign orbit (first nonzero coordinate positive),
-        sorted lexicographically; each survivor of the interval prefilter is
-        confirmed with the exact index.
+        One sweep per radius serves every query.  One representative per
+        sign orbit (first nonzero coordinate positive); each survivor of the
+        interval prefilter is confirmed with the exact index.
         """
-        key = ("enum", bound, radius)
-        hit = self._sweep_cache.get(key)
+        hit = self._sweep_cache.get(radius)
         if hit is not None:
             return hit
         found = []
         for xs in self._canonical_box(radius):
-            k = self._certified_index_value(xs)
-            if 1 <= abs(k) <= bound:
-                idx = self.element_index(xs)
-                if idx != abs(k):
+            k = abs(self._certified_index_value(xs))
+            if k <= self._index_limit:
+                if self.element_index(xs) != k:
                     raise InternalInvariantError("certified index disagrees with exact index")
-                found.append((xs, idx))
-        out = tuple(sorted(found))
-        self._sweep_cache[key] = out
+                found.append((xs, k))
+        out = self._sweep_cache[radius] = tuple(sorted(found))
         return out
+
+    def enumerate_bounded_index(self, bound: int, radius: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """All coordinate vectors in the box with 1 <= index <= bound <= 2^e, sorted."""
+        if bound > self._index_limit:
+            raise ValidationError(f"index bound {bound} exceeds 2^e for degree {self.n}")
+        return tuple((xs, k) for xs, k in self._small_index_table(radius) if 1 <= k <= bound)
 
     def zero_index_vectors(self, radius: int) -> tuple[tuple[int, ...], ...]:
         """Nonzero box vectors whose index form vanishes (non-primitive elements)."""
-        key = ("zero", radius)
-        hit = self._sweep_cache.get(key)
-        if hit is not None:
-            return hit
-        found = []
-        for xs in self._canonical_box(radius):
-            if self._certified_index_value(xs) == 0:
-                if self.element_index(xs) != 0:
-                    raise InternalInvariantError("certified zero index disagrees with exact index")
-                found.append(xs)
-        out = tuple(sorted(found))
-        self._sweep_cache[key] = out
-        return out
+        return tuple(xs for xs, k in self._small_index_table(radius) if k == 0)
 
     # -- description ------------------------------------------------------------
 
@@ -423,6 +416,12 @@ class NumberField:
         }
 
 
+def validate_precision_cap(precision_cap) -> None:
+    if not isinstance(precision_cap, int) or isinstance(precision_cap, bool) \
+            or precision_cap < PREC_START:
+        raise ValidationError(f"precision cap must be an integer >= {PREC_START} bits")
+
+
 def make_field(poly_coeffs, basis_rows, expected_disc: int | None = None,
                precision_cap: int = PREC_CAP) -> NumberField:
     """Build and validate a totally real field with the given integral basis.
@@ -433,9 +432,7 @@ def make_field(poly_coeffs, basis_rows, expected_disc: int | None = None,
     basis is trusted to span the maximal order; closure and discriminant
     agreement are the verifiable parts of that claim.
     """
-    if not isinstance(precision_cap, int) or isinstance(precision_cap, bool) \
-            or precision_cap < PREC_START:
-        raise ValidationError(f"precision cap must be an integer >= {PREC_START} bits")
+    validate_precision_cap(precision_cap)
     try:
         f = poly_from_ints(poly_coeffs)
     except (TypeError, ValueError):

@@ -45,7 +45,6 @@ NOT_MONOGENIC = "NOT_MONOGENIC"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 COMPLETE = "COMPLETE"
-PAPER_CASE_LOGIC = "PAPER_CASE_LOGIC"
 BOX_LIMITED = "BOX_LIMITED"
 
 
@@ -314,16 +313,11 @@ def solve(K: CompositeField, pib_source="box", box_radius: int = 20,
         assumptions.append("the degree of L is prime: the index form vanishes only at 0")
     else:
         zero_idx = L.zero_index_vectors(radius)
-        if zero_idx:
-            assumptions.append(
-                f"nonzero index-form zeros found in the box |x_i| <= {radius}; "
-                "subfield candidates beyond the box are not covered"
-            )
-        else:
-            assumptions.append(
-                f"no nonzero index-form zeros in the box |x_i| <= {radius}; "
-                "the case analysis treats the vanishing index form as forcing the zero vector"
-            )
+        head = "nonzero index-form zeros found" if zero_idx else "no nonzero index-form zeros"
+        assumptions.append(
+            f"{head} in the box |x_i| <= {radius}; "
+            "subfield candidates beyond the box are not covered"
+        )
     if bounds.forces_zero_y:
         assumptions.append("the y-part bound is below 1, forcing the y-part index form to vanish")
 
@@ -356,7 +350,8 @@ def solve(K: CompositeField, pib_source="box", box_radius: int = 20,
             # the x-bound itself, or z = 2x: the z-bound collapses to the unit condition on x
             xs_tails = x_units
         else:
-            # x = (z - y)/2 over the z-pool, swept once and only when needed
+            # x = (z - y)/2 over the z-pool, filtered from the field's box table only
+            # when needed, so a prime-degree cell with a generator table never sweeps
             if z_pool is None:
                 z_pool = [zero_vec, *_signed(v for v, _ in L.enumerate_bounded_index(bounds.bound_main, radius)),
                           *_signed(zero_idx)]
@@ -376,12 +371,11 @@ def solve(K: CompositeField, pib_source="box", box_radius: int = 20,
             generators.append(Generator(xs_tail, ys, trace.eq1, trace.eq2,
                                         trace.f_value, trace.index))
 
-    if regime == RES_D3 or not pib_explicit or zero_idx:
+    # composite n: the zero sweep is box-limited whether or not it found anything
+    if regime == RES_D3 or not pib_explicit or not is_prime(n):
         completeness = BOX_LIMITED
-    elif is_prime(n):
-        completeness = COMPLETE
     else:
-        completeness = PAPER_CASE_LOGIC
+        completeness = COMPLETE
 
     if generators:
         verdict = MONOGENIC

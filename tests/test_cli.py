@@ -114,6 +114,9 @@ def test_precision_cap_is_validated_up_front():
     assert main(["--precision-cap", "64", "solve", "--a", "2", "--d", "7", "--box", "2"]) == 3
     assert main(["--precision-cap", "0", "index", "--a", "2", "--coords", "0,1,0"]) == 3
     assert main(["--precision-cap", "0", "check-example5"]) == 3
+    assert main(["--precision-cap", "64", "d3-search", "--a", "1", "--box", "2"]) == 3
+    assert main(["--precision-cap", "64", "verify-cq", "--a-max", "1", "--d-max", "2",
+                 "--box", "2"]) == 3
 
 
 def test_exit_code_parse():

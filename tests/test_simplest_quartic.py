@@ -1,5 +1,6 @@
 import itertools
 import math
+import multiprocessing
 
 import pytest
 import sympy
@@ -80,7 +81,7 @@ def test_other_parameters_have_no_generators_in_box(fam1):
 
 
 def _numeric_index_oracle(a, radius, bound):
-    """Count box vectors with 1 <= index <= bound via 60-digit numerics.
+    """Box vectors with 0 <= index <= bound, as (xs, index), via 60-digit numerics.
 
     Fully independent route: sympy nroots for the conjugates, the index-form
     product formula evaluated in mpmath, rounded to the nearest integer.
@@ -112,15 +113,36 @@ def _numeric_index_oracle(a, radius, bound):
         val = abs(prod) / sqrt_disc
         k = int(mpmath.nint(val))
         assert abs(val - k) < mpmath.mpf("1e-30")
-        if 1 <= k <= bound:
+        if k <= bound:
             hits.append((vec, k))
     return hits
 
 
 def test_bounded_enumeration_against_numeric_oracle(fam1):
     oracle = _numeric_index_oracle(1, 5, 64)
-    got = fam1.enumerate_bounded_index(64, 5)
-    assert sorted(got) == sorted(oracle)
+    assert fam1.zero_index_vectors(5) == tuple(sorted(v for v, k in oracle if k == 0))
+    for bound in (1, 2, 64):
+        got = fam1.enumerate_bounded_index(bound, 5)
+        assert got == tuple(sorted((v, k) for v, k in oracle if 1 <= k <= bound))
+    with pytest.raises(ValidationError):
+        fam1.enumerate_bounded_index(65, 5)
+
+
+def test_one_sweep_serves_every_query(monkeypatch):
+    L = make_simplest_quartic(1)
+    calls = []
+    certify = L._certified_index_value
+
+    def counted(xs):
+        calls.append(xs)
+        return certify(xs)
+
+    monkeypatch.setattr(L, "_certified_index_value", counted)
+    L.zero_index_vectors(3)
+    L.enumerate_bounded_index(64, 3)
+    L.enumerate_bounded_index(1, 3)
+    # one evaluation per canonical vector of the 7^3 box: (7^3 - 1) / 2
+    assert len(calls) == len(set(calls)) == 171
 
 
 def test_grid_small():
@@ -160,7 +182,7 @@ def test_grid_pool_clamped_to_cpu_count(monkeypatch):
         def map(self, fn, tasks):
             return [fn(t) for t in tasks]
 
-    monkeypatch.setattr(simplest_quartic.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     monkeypatch.setattr(simplest_quartic.os, "cpu_count", lambda: 2)
     rep = verify_theorem_cq(a_max=3, d_max=2, box_radius=2, jobs=64)
     assert sizes == [2]
@@ -172,6 +194,10 @@ def test_grid_validation():
         verify_theorem_cq(a_max=0)
     with pytest.raises(ValidationError):
         verify_theorem_cq(jobs=0)
+    with pytest.raises(ValidationError):
+        verify_theorem_cq(a_max=1, d_max=1, box_radius=0)
+    with pytest.raises(ValidationError):
+        verify_theorem_cq(a_max=1, d_max=1, precision_cap=64)
 
 
 def test_d3_partial_search(fam1):

@@ -108,6 +108,16 @@ def test_family_composites_not_monogenic(fam1, fam2):
     assert r.completeness == "BOX_LIMITED"  # the zero sweep finds subfield vectors
 
 
+def test_composite_degree_without_zeros_in_box_is_box_limited():
+    # the subfield line (3, 21, -2) of L_20 lies outside the box
+    L = make_simplest_quartic(20)
+    r = solve(make_composite(L, make_imq(7)), pib_source=olajos_generators(20),
+              box_radius=5, collect_traces=False)
+    assert L.zero_index_vectors(5) == ()
+    assert r.completeness == "BOX_LIMITED"
+    assert not any("forcing the zero vector" in a for a in r.assumptions)
+
+
 def test_d3_is_inconclusive(fam1):
     K = make_composite(fam1, make_imq(3))
     r = solve(K, box_radius=5)
