@@ -268,6 +268,10 @@ class NumberField:
         # 2^e, e = n(n-1)/2: the largest right-hand side of any index-form bound
         self._index_limit = 2 ** (self.n * (self.n - 1) // 2)
         self._sweep_cache: dict[int, tuple] = {}
+        # solver memos, exact per field: y1 solutions by y-tail, and
+        # validated generator tables by their input vectors
+        self._unit_y1_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._pib_cache: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] = {}
 
     # -- coordinates ---------------------------------------------------------
 

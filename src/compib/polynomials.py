@@ -7,8 +7,9 @@ elimination, so entries may themselves be polynomials; every division along
 the way is exact and asserted.
 
 Real roots of squarefree integer polynomials are isolated with a Sturm chain
-plus sign bisection and can be refined on demand to any width; all endpoint
-arithmetic stays rational.
+plus sign bisection and can be refined on demand to any width; refinement
+bisects integer numerators over a shared denominator, so every endpoint
+stays an exact rational.
 """
 
 from __future__ import annotations
@@ -329,15 +330,16 @@ def _sign_int(v: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def _sign_at(coeffs: list[int], fr: Fraction) -> int:
-    """Sign of the integer polynomial at a rational point."""
-    num, den = fr.numerator, fr.denominator
-    # acc ends up as den^deg * p(num/den), an integer with the sign of p(fr)
+def _sign_at(coeffs: list[int], num: int, den: int, shift: int = 0) -> int:
+    """Sign of the integer polynomial at num/(den*2^shift), for any den > 0."""
+    # acc ends up as (den*2^shift)^deg * p(x), an integer with the sign of p(x)
     acc = 0
     dp = 1
+    sh = 0
     for c in reversed(coeffs):
-        acc = acc * num + c * dp
+        acc = acc * num + ((c * dp) << sh)
         dp *= den
+        sh += shift
     return _sign_int(acc)
 
 
@@ -376,7 +378,7 @@ def _variations(signs) -> int:
 
 
 def _chain_variations_at(chain: list[list[int]], x: Fraction) -> int:
-    return _variations([_sign_at(c, x) for c in chain])
+    return _variations([_sign_at(c, x.numerator, x.denominator) for c in chain])
 
 
 def sturm_real_root_count(p: Poly) -> int:
@@ -394,43 +396,72 @@ def sturm_real_root_count(p: Poly) -> int:
 class IsolatedRoot:
     """One simple real root of an integer polynomial, refinable on demand.
 
-    For a non-exact root, lo < root < hi and the polynomial changes sign
-    between the endpoints; for an exact (rational) root, lo == hi == root.
+    The endpoints are integer numerators over one shared positive
+    denominator, lo = _lo/q and hi = _hi/q with q = _den * 2^_shift.  A
+    bisection step takes the midpoint (_lo + _hi)/(2q) and adds one to
+    _shift, so it costs integer additions, shifts and one homogenised Horner
+    sum, with no gcd; ``lo`` and ``hi`` read back as reduced Fractions.  For
+    a non-exact root, lo < root < hi and the polynomial changes sign between
+    the endpoints; for an exact (rational) root, lo == hi == root.
     """
 
-    __slots__ = ("coeffs", "lo", "hi", "exact", "_sign_lo")
+    __slots__ = ("coeffs", "_lo", "_hi", "_den", "_shift", "exact", "_sign_lo")
 
     def __init__(self, coeffs: list[int], lo: Fraction, hi: Fraction, exact: bool):
+        q = math.lcm(lo.denominator, hi.denominator)
+        shift = (q & -q).bit_length() - 1
         self.coeffs = coeffs
-        self.lo = lo
-        self.hi = hi
+        self._lo = lo.numerator * (q // lo.denominator)
+        self._hi = hi.numerator * (q // hi.denominator)
+        self._den = q >> shift
+        self._shift = shift
         self.exact = exact
-        self._sign_lo = 0 if exact else _sign_at(coeffs, lo)
+        self._sign_lo = 0 if exact else _sign_at(coeffs, self._lo, self._den, shift)
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self._lo, self._den << self._shift)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self._hi, self._den << self._shift)
 
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self._hi - self._lo, self._den << self._shift)
 
     def refine_to(self, width: Fraction) -> None:
-        while not self.exact and self.hi - self.lo > width:
-            mid = (self.lo + self.hi) / 2
-            s = _sign_at(self.coeffs, mid)
+        """Bisect until hi - lo <= width, or until a midpoint is the root."""
+        if width <= 0:
+            raise ValidationError("refinement width must be positive")
+        if self.exact:
+            return
+        coeffs, sign_lo, den = self.coeffs, self._sign_lo, self._den
+        lo, hi, shift = self._lo, self._hi, self._shift
+        # a step keeps hi - lo as the numerator and doubles the denominator
+        gap = (hi - lo) * width.denominator
+        limit = (width.numerator * den) << shift
+        while gap > limit:
+            mid = lo + hi
+            shift += 1
+            limit <<= 1
+            s = _sign_at(coeffs, mid, den, shift)
             if s == 0:
-                self.lo = self.hi = mid
+                lo = hi = mid
                 self.exact = True
-                return
-            if s == self._sign_lo:
-                self.lo = mid
+                break
+            if s == sign_lo:
+                lo, hi = mid, hi << 1
             else:
-                self.hi = mid
+                lo, hi = lo << 1, mid
+        self._lo, self._hi, self._shift = lo, hi, shift
 
     def excludes(self, fr: Fraction) -> bool:
         return fr < self.lo or fr > self.hi
 
     def to_interval(self, prec: int) -> RealInterval:
         self.refine_to(Fraction(1, 1 << prec))
-        lo = RealInterval.from_fraction(self.lo, prec)
-        hi = RealInterval.from_fraction(self.hi, prec)
-        return RealInterval(lo.lo, hi.hi, prec)
+        q = self._den << self._shift
+        return RealInterval((self._lo << prec) // q, -(-(self._hi << prec) // q), prec)
 
     def __repr__(self):
         mid = (self.lo + self.hi) / 2
@@ -481,7 +512,7 @@ def isolate_real_roots(p: Poly, target_width: Fraction = Fraction(1, 1 << 32)) -
                     open_roots.append(IsolatedRoot(coeffs, a, b, False))
                     continue
                 mid = (a + b) / 2
-                if _sign_at(coeffs, mid) == 0:
+                if _sign_at(coeffs, mid.numerator, mid.denominator) == 0:
                     # rational root hit: peel it off and isolate the rest afresh
                     exact_roots.append(mid)
                     quot, rem = divmod_q(Poly(coeffs), Poly([-mid, Fraction(1)]))
@@ -505,6 +536,7 @@ def isolate_real_roots(p: Poly, target_width: Fraction = Fraction(1, 1 << 32)) -
     roots.sort(key=lambda r: r.lo + r.hi)
     for left, right in zip(roots, roots[1:]):
         while max(left.lo, right.lo) <= min(left.hi, right.hi):
-            left.refine_to(left.width() / 4)
-            right.refine_to(right.width() / 4)
+            for r in (left, right):
+                if not r.exact:
+                    r.refine_to(r.width() / 4)
     return roots

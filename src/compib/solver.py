@@ -125,11 +125,14 @@ def solve_norm_unit_y1(L: NumberField, ytail) -> tuple[int, ...]:
     The norm is g(y1) for g the characteristic polynomial of the negated
     tail, and any solution sits within distance 1 of some conjugate of the
     negated tail, so only a few integers near the root enclosures need the
-    exact test.
+    exact test.  The solutions are memoised on L by y-tail.
     """
     ytail = tuple(ytail)
     if len(ytail) != L.n - 1:
         raise ValidationError(f"expected {L.n - 1} coordinates, got {len(ytail)}")
+    hit = L._unit_y1_cache.get(ytail)
+    if hit is not None:
+        return hit
     neg = (0, *[-y for y in ytail])
     g = L.char_poly(neg)
     if any(c.denominator != 1 for c in g.coeffs):
@@ -143,7 +146,8 @@ def solve_norm_unit_y1(L: NumberField, ytail) -> tuple[int, ...]:
         lo = math.floor(Fraction(acc.lo, 1 << prec) - 1)
         hi = math.ceil(Fraction(acc.hi, 1 << prec) + 1)
         cands.update(range(lo, hi + 1))
-    return tuple(sorted(t for t in cands if abs(g.evaluate(t)) == 1))
+    out = L._unit_y1_cache[ytail] = tuple(sorted(t for t in cands if abs(g.evaluate(t)) == 1))
+    return out
 
 
 # -- candidate reporting -------------------------------------------------------
@@ -242,16 +246,22 @@ def _signed(vectors) -> list[tuple[int, ...]]:
 
 
 def _validated_pib(L: NumberField, vectors) -> tuple[tuple[int, ...], ...]:
+    """Sign-orbit representatives of the supplied generators, each proved to
+    have index 1; the table is memoised on L by the input vectors."""
+    vectors = tuple(tuple(int(c) for c in v) for v in vectors)
+    hit = L._pib_cache.get(vectors)
+    if hit is not None:
+        return hit
     seen = set()
     for v in vectors:
-        v = tuple(int(c) for c in v)
         if len(v) != L.n - 1:
             raise ValidationError(f"generator vectors need {L.n - 1} coordinates")
         if L.element_index(v) != 1:
             raise ValidationError(f"supplied vector {list(v)} does not generate a power integral basis of L")
         lead = next((c for c in v if c != 0), 0)
         seen.add(tuple(-c for c in v) if lead < 0 else v)
-    return tuple(sorted(seen))
+    out = L._pib_cache[vectors] = tuple(sorted(seen))
+    return out
 
 
 def _test_candidate(K: CompositeField, xs_tail, ys) -> CandidateTrace:
@@ -343,7 +353,7 @@ def solve(K: CompositeField, pib_source="box", box_radius: int = 20,
     x_units = [zero_vec, *_signed(pib), *_signed(zero_idx)]
     z_pool = None
 
-    # the y-tails are distinct, so each y1 equation is solved at most once
+    # the y-tails are distinct, and L memoises each y1 equation across calls
     candidates: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     for ytail in y_tails:
         if not K.M.residue or (regime == RES_DGT3 and ytail == zero_vec):

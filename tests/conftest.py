@@ -7,6 +7,9 @@ IDENTITY4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 # base field of the degree-8 worked example: x^4 - 4x^2 - x + 1, disc 1957
 OCTIC_POLY = (1, -1, -4, 0, 1)
 
+# x^5 - 5x^3 + 4x - 1: totally real with squarefree discriminant
+QUINTIC_POLY = (-1, 4, 0, -5, 0, 1)
+
 
 @pytest.fixture(scope="session")
 def octic_L():

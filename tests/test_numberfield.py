@@ -8,7 +8,7 @@ from compib.errors import ValidationError
 from compib.numberfield import field_from_dict, make_field
 from compib.polynomials import Poly, discriminant
 
-from conftest import OCTIC_POLY
+from conftest import OCTIC_POLY, QUINTIC_POLY
 
 X = sympy.Symbol("x")
 T = sympy.Symbol("t")
@@ -141,10 +141,8 @@ def test_octic_base_field(octic_L):
 
 
 def test_quintic_field():
-    # x^5 - 5x^3 + 4x - 1 is totally real with squarefree discriminant
-    f = [-1, 4, 0, -5, 0, 1]
-    disc = discriminant(Poly(f))
+    disc = discriminant(Poly(list(QUINTIC_POLY)))
     basis = tuple(tuple(1 if i == j else 0 for j in range(5)) for i in range(5))
-    L = make_field(f, basis, expected_disc=disc)
+    L = make_field(QUINTIC_POLY, basis, expected_disc=disc)
     assert L.n == 5
     assert L.element_index((1, 0, 0, 0)) == 1

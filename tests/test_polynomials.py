@@ -6,11 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compib.errors import InternalInvariantError, ValidationError
-from compib.polynomials import (Poly, cauchy_root_bound, discriminant,
-                                divmod_q, gcd_q, is_squarefree_poly,
-                                isolate_real_roots, poly_mod_monic,
-                                resultant, sturm_real_root_count,
-                                to_fraction_poly)
+from compib.intervals import RealInterval
+from compib.numberfield import make_field
+from compib.polynomials import (IsolatedRoot, Poly, cauchy_root_bound,
+                                discriminant, divmod_q, gcd_q,
+                                is_squarefree_poly, isolate_real_roots,
+                                poly_mod_monic, resultant,
+                                sturm_real_root_count, to_fraction_poly)
+from compib.simplest_quartic import make_simplest_quartic, validate_parameter
+
+from conftest import IDENTITY4, OCTIC_POLY, QUINTIC_POLY
 
 X = sympy.Symbol("x")
 
@@ -190,3 +195,123 @@ def test_cauchy_root_bound():
     assert b >= 11
     for r in isolate_real_roots(p):
         assert -b < r.lo and r.hi < b
+
+
+# -- root refinement against the Fraction bisection ---------------------------
+
+
+def _sign_reference(coeffs, fr: Fraction) -> int:
+    # den^deg * p(num/den) by Horner, an integer with the sign of p(fr)
+    acc, dp = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * fr.numerator + c * dp
+        dp *= fr.denominator
+    return (acc > 0) - (acc < 0)
+
+
+def _refine_reference(coeffs, lo, hi, exact, width):
+    """Oracle for IsolatedRoot.refine_to: the bisection over Fractions that it
+    replaced, one midpoint (lo + hi)/2 per step.  Returns (lo, hi, exact)."""
+    sign_lo = 0 if exact else _sign_reference(coeffs, lo)
+    while not exact and hi - lo > width:
+        mid = (lo + hi) / 2
+        s = _sign_reference(coeffs, mid)
+        if s == 0:
+            return mid, mid, True
+        if s == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, exact
+
+
+def _state(r: IsolatedRoot):
+    return r.lo, r.hi, r.exact
+
+
+def _squarefree(coeffs) -> bool:
+    p = Poly(coeffs)
+    return p.degree >= 1 and is_squarefree_poly(p)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(min_value=-20, max_value=20), min_size=2, max_size=7).filter(_squarefree),
+       st.sampled_from([1, 3, 5, 12]),
+       st.lists(st.tuples(st.integers(min_value=1, max_value=999),
+                          st.integers(min_value=0, max_value=300)), min_size=1, max_size=3))
+def test_refine_matches_fraction_bisection(coeffs, scale, widths):
+    # roots of p(scale*y) are the roots of p over scale, so dividing the
+    # dyadic enclosures by 3, 5 or 12 gives denominators that are not powers of 2
+    scaled = [c * scale**i for i, c in enumerate(coeffs)]
+    for root in isolate_real_roots(Poly(coeffs), target_width=Fraction(1)):
+        lo, hi, exact = root.lo / scale, root.hi / scale, root.exact
+        r = IsolatedRoot(scaled, lo, hi, exact)
+        assert _state(r) == (lo, hi, exact)
+        for num, k in widths:
+            w = Fraction(num, 1 << k)
+            lo, hi, exact = _refine_reference(scaled, lo, hi, exact, w)
+            r.refine_to(w)
+            assert _state(r) == (lo, hi, exact)
+        lo, hi, exact = _refine_reference(scaled, lo, hi, exact, Fraction(1, 1 << 64))
+        iv = r.to_interval(64)
+        assert _state(r) == (lo, hi, exact)
+        assert (iv.lo, iv.hi) == (RealInterval.from_fraction(lo, 64).lo,
+                                  RealInterval.from_fraction(hi, 64).hi)
+
+
+def test_rational_root_on_a_midpoint_becomes_exact():
+    # (4x - 1)(x^2 - 2): 1/4 is the second midpoint of [0, 1]
+    coeffs = [2, -8, -1, 4]
+    r = IsolatedRoot(coeffs, Fraction(0), Fraction(1), False)
+    r.refine_to(Fraction(1, 1000))
+    assert _state(r) == (Fraction(1, 4), Fraction(1, 4), True)
+    assert _state(r) == _refine_reference(coeffs, Fraction(0), Fraction(1), False, Fraction(1, 1000))
+    assert r.width() == 0 and not r.excludes(Fraction(1, 4))
+    assert r.to_interval(32).lo == r.to_interval(32).hi == 1 << 30
+    # (12x - 5)(x^2 - 2) on [1/3, 1/2]: the first midpoint is 5/12, over an odd base 3
+    coeffs = [10, -24, -5, 12]
+    r = IsolatedRoot(coeffs, Fraction(1, 3), Fraction(1, 2), False)
+    r.refine_to(Fraction(1, 10**6))
+    assert _state(r) == (Fraction(5, 12), Fraction(5, 12), True)
+
+
+def test_refine_to_rejects_non_positive_width():
+    root = isolate_real_roots(Poly([-2, 0, 1]))[1]
+    before = _state(root)
+    for width in (0, Fraction(0), Fraction(-1, 8), -1):
+        with pytest.raises(ValidationError):
+            root.refine_to(width)
+    assert _state(root) == before
+
+
+def _embedding_fields():
+    for a in range(1, 41):
+        try:
+            validate_parameter(a)
+        except ValidationError:
+            continue
+        yield f"a = {a}", make_simplest_quartic(a)
+    yield "octic", make_field(OCTIC_POLY, IDENTITY4, expected_disc=1957)
+    basis5 = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
+    yield "quintic", make_field(QUINTIC_POLY, basis5)
+
+
+def _value_key(v):
+    # basis value at one root: an interval, or a rational for a constant row
+    return (v.lo, v.hi, v.prec) if isinstance(v, RealInterval) else v
+
+
+def test_embeddings_match_fraction_bisection():
+    # every family member a <= 40, the octic base field and the quintic
+    for name, L in _embedding_fields():
+        states = [_state(r) for r in L.roots]
+        for prec in (128, 256, 512, 1024):
+            w = Fraction(1, 1 << prec)
+            states = [_refine_reference(r.coeffs, *st_, w) for r, st_ in zip(L.roots, states)]
+            ivs = [RealInterval(RealInterval.from_fraction(lo, prec).lo,
+                                RealInterval.from_fraction(hi, prec).hi, prec)
+                   for lo, hi, _ in states]
+            expect = [[_value_key(Poly(row).evaluate(iv)) for row in L.basis] for iv in ivs]
+            got = [[_value_key(v) for v in row] for row in L.embeddings(prec).basis_vals]
+            assert got == expect, (name, prec)
+            assert [_state(r) for r in L.roots] == states, (name, prec)

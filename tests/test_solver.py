@@ -53,6 +53,29 @@ def test_norm_unit_y1_frozen(octic_L):
     assert solve_norm_unit_y1(octic_L, (0, 0, 0)) == (-1, 1)
 
 
+def test_second_solve_reuses_field_memos(monkeypatch):
+    # the y1 solutions and the validated generator table are memoised on L
+    def calls_of(L, name):
+        seen = []
+        inner = getattr(L, name)
+        monkeypatch.setattr(L, name, lambda coords: seen.append(tuple(coords)) or inner(coords))
+        return seen
+
+    L = make_simplest_quartic(2)
+    pib = olajos_generators(2)
+    first = calls_of(L, "char_poly")
+    solve(make_composite(L, make_imq(7)), pib_source=pib, box_radius=4)
+    assert first
+    second = calls_of(L, "char_poly")
+    indices = calls_of(L, "element_index")
+    report = solve(make_composite(L, make_imq(11)), pib_source=pib, box_radius=4)
+    assert not set(second) & set(first)
+    assert indices == []
+    fresh = make_simplest_quartic(2)
+    assert report.to_dict() == solve(make_composite(fresh, make_imq(11)), pib_source=pib,
+                                     box_radius=4).to_dict()
+
+
 def test_norm_unit_y1_brute_force(octic_L, fam1):
     for L, tail in ((octic_L, (1, 0, 0)), (octic_L, (2, -1, 0)),
                     (fam1, (1, 1, 0)), (fam1, (0, 0, 0))):
