@@ -13,8 +13,7 @@ from .errors import (CompibError, CoprimalityError, InternalInvariantError,
                      PrecisionError, ValidationError)
 from .imquad import ImagQuadField, make_imq
 from .numberfield import NumberField, field_from_dict, make_field
-from .polynomials import (Poly, discriminant, isolate_real_roots, resultant,
-                          sturm_real_root_count)
+from .polynomials import Poly, discriminant, isolate_real_roots, resultant
 from .simplest_quartic import (d3_partial_search, make_simplest_quartic,
                                olajos_generators, verify_theorem_cq)
 from .solver import (BoundsRecord, Generator, SolverReport, bounds_hold,
@@ -48,7 +47,6 @@ __all__ = [
     "resultant",
     "solve",
     "solve_norm_unit_y1",
-    "sturm_real_root_count",
     "theorem_main_bounds",
     "verify_theorem_cq",
     "__version__",

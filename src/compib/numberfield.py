@@ -27,12 +27,11 @@ from .polynomials import (
     IsolatedRoot,
     Poly,
     clear_denominators,
-    divmod_q,
     isolate_real_roots,
     poly_from_ints,
+    poly_mod_monic,
     resultant,
     discriminant,
-    sturm_real_root_count,
 )
 
 
@@ -76,26 +75,29 @@ def index_from_char_resultant(r: Poly, denom: int, disc: int) -> int:
     return s
 
 
-def _invert_matrix(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], Fraction]:
-    """Gauss-Jordan inverse and determinant of a rational matrix."""
+def _scaled_inverse(rows: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(A, d) with rows * A = d * I for a square integer matrix, |d| = |det|.
+
+    Fraction-free Gauss-Jordan elimination on [rows | I]: each division by
+    the previous pivot is exact, the left block ends as d * I, and the right
+    block is then d * rows^-1, the adjugate up to the sign of d.
+    """
     n = len(rows)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    det = Fraction(1)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    prev = 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
             raise ValidationError("integral basis rows are linearly dependent")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-            det = -det
-        det *= aug[col][col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
+        aug[col], aug[piv] = aug[piv], aug[col]
+        prow = aug[col]
+        p = prow[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug], det
+            if r != col:
+                m = aug[r][col]
+                aug[r] = [(p * v - m * w) // prev for v, w in zip(aug[r], prow)]
+        prev = p
+    return [row[n:] for row in aug], prev
 
 
 def _has_rational_root(f: Poly) -> bool:
@@ -262,8 +264,6 @@ class NumberField:
         self.denom = denom
         self.roots = roots
         self.precision_cap = precision_cap
-        inv, _ = _invert_matrix([list(r) for r in basis])
-        self._basis_inv_cols = inv
         self._emb: dict[int, _Embeddings] = {}
         # 2^e, e = n(n-1)/2: the largest right-hand side of any index-form bound
         self._index_limit = 2 ** (self.n * (self.n - 1) // 2)
@@ -284,20 +284,6 @@ class NumberField:
                 for i, r in enumerate(row):
                     out[i] += c * r
         return tuple(out)
-
-    def from_power_coeffs(self, pcoeffs) -> tuple[Fraction, ...]:
-        pc = list(pcoeffs) + [Fraction(0)] * (self.n - len(pcoeffs))
-        inv = self._basis_inv_cols
-        return tuple(
-            sum((pc[i] * inv[i][j] for i in range(self.n)), Fraction(0))
-            for j in range(self.n)
-        )
-
-    def multiply_coords(self, c1, c2) -> tuple[Fraction, ...]:
-        p1 = Poly(self.to_power_coeffs(c1))
-        p2 = Poly(self.to_power_coeffs(c2))
-        _, rem = divmod_q(p1 * p2, self.f)
-        return self.from_power_coeffs([Fraction(c) for c in rem.coeffs])
 
     # -- exact invariants ----------------------------------------------------
 
@@ -420,6 +406,24 @@ class NumberField:
         }
 
 
+def _unclosed_product(f: Poly, scaled: list[list[int]], inv: list[list[int]],
+                      modulus: int) -> tuple[int, int] | None:
+    """First basis pair (i, j), i <= j, whose product leaves the lattice.
+
+    ``scaled`` is M = denom * basis, ``inv`` is d * M^-1 and ``modulus`` is
+    denom * d.  b_i*b_j is (M_i*M_j mod f) / denom^2 in the power basis, so
+    its coordinates are (M_i*M_j mod f) * inv / modulus.  Products with
+    b_0 = 1 stay in the lattice and are skipped.
+    """
+    n = len(scaled)
+    for i in range(1, n):
+        for j in range(i, n):
+            prod = poly_mod_monic(Poly(scaled[i]) * Poly(scaled[j]), f).coeffs
+            if any(sum(c * row[k] for c, row in zip(prod, inv)) % modulus for k in range(n)):
+                return i, j
+    return None
+
+
 def validate_precision_cap(precision_cap) -> None:
     if not isinstance(precision_cap, int) or isinstance(precision_cap, bool) \
             or precision_cap < PREC_START:
@@ -430,10 +434,22 @@ def make_field(poly_coeffs, basis_rows, expected_disc: int | None = None,
                precision_cap: int = PREC_CAP) -> NumberField:
     """Build and validate a totally real field with the given integral basis.
 
-    Checks: monic integer defining polynomial, irreducibility, all roots real,
-    basis starting at 1 with invertible rational rows, multiplicative closure
-    of the spanned order, and (optionally) an expected discriminant.  The
-    basis is trusted to span the maximal order; closure and discriminant
+    Checks, all in integer arithmetic:
+
+    - the defining polynomial f is monic with integer coefficients, and
+      irreducible;
+    - f is totally real: its Sturm chain isolates n real roots;
+    - the basis starts at 1 and its rows are invertible: with denom the
+      least common denominator and M = denom * basis, fraction-free
+      elimination gives A = d * M^-1 with |d| = |det M| != 0;
+    - the discriminant disc(f) * d^2 / denom^(2n) is an integer, and equals
+      expected_disc when one is given;
+    - the spanned order is closed under multiplication: b_i*b_j has the
+      coordinates (M_i*M_j mod f) * A / (denom * d), so it is integral
+      exactly when (M_i*M_j mod f) * A is 0 mod denom * d (f is monic, so
+      M_i*M_j mod f stays integral).
+
+    The basis is trusted to span the maximal order; closure and discriminant
     agreement are the verifiable parts of that claim.
     """
     validate_precision_cap(precision_cap)
@@ -447,7 +463,8 @@ def make_field(poly_coeffs, basis_rows, expected_disc: int | None = None,
     if f.lc != 1:
         raise ValidationError("defining polynomial must be monic")
     _check_irreducible(f)
-    if sturm_real_root_count(f) != n:
+    roots = isolate_real_roots(f)
+    if len(roots) != n:
         raise ValidationError("defining polynomial is not totally real")
 
     rows = []
@@ -459,37 +476,25 @@ def make_field(poly_coeffs, basis_rows, expected_disc: int | None = None,
         raise ValidationError("integral basis must have one row per degree")
     if rows[0] != tuple(Fraction(int(i == 0)) for i in range(n)):
         raise ValidationError("first integral basis element must be 1")
-    _, det = _invert_matrix([list(r) for r in rows])
+    denom = 1
+    for row in rows:
+        for c in row:
+            denom = math.lcm(denom, c.denominator)
+    scaled = [[int(c * denom) for c in row] for row in rows]
+    inv, det = _scaled_inverse(scaled)
 
-    disc_f = discriminant(f)
-    disc_fr = Fraction(disc_f) * det * det
-    if disc_fr.denominator != 1:
+    disc, rem = divmod(discriminant(f) * det * det, denom ** (2 * n))
+    if rem:
         raise ValidationError("basis change does not yield an integral discriminant")
-    disc = int(disc_fr)
     if disc <= 0:
         raise InternalInvariantError("totally real field with non-positive discriminant")
     if expected_disc is not None and disc != expected_disc:
         raise ValidationError(f"discriminant mismatch: computed {disc}, expected {expected_disc}")
 
-    denom = 1
-    for row in rows:
-        for c in row:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-
-    field = NumberField(f, tuple(rows), disc, denom,
-                        isolate_real_roots(f), precision_cap=precision_cap)
-
-    # ring closure: all basis products must have integral coordinates
-    for i in range(n):
-        for j in range(i, n):
-            ci = [int(k == i) for k in range(n)]
-            cj = [int(k == j) for k in range(n)]
-            prod = field.multiply_coords(ci, cj)
-            if any(c.denominator != 1 for c in prod):
-                raise ValidationError(
-                    f"integral basis is not multiplicatively closed (product {i},{j})"
-                )
-    return field
+    pair = _unclosed_product(f, scaled, inv, denom * det)
+    if pair is not None:
+        raise ValidationError("integral basis is not multiplicatively closed (product %d,%d)" % pair)
+    return NumberField(f, tuple(rows), disc, denom, roots, precision_cap=precision_cap)
 
 
 def field_from_dict(data: dict, precision_cap: int = PREC_CAP) -> NumberField:

@@ -7,9 +7,10 @@ elimination, so entries may themselves be polynomials; every division along
 the way is exact and asserted.
 
 Real roots of squarefree integer polynomials are isolated with a Sturm chain
-plus sign bisection and can be refined on demand to any width; refinement
-bisects integer numerators over a shared denominator, so every endpoint
-stays an exact rational.
+of integer pseudo-remainders (whose last member also certifies that the
+polynomial is squarefree) plus sign bisection, and can be refined on demand
+to any width; refinement bisects integer numerators over a shared
+denominator, so every endpoint stays an exact rational.
 """
 
 from __future__ import annotations
@@ -180,10 +181,6 @@ def poly_from_ints(coeffs) -> Poly:
     return Poly([int(c) for c in coeffs])
 
 
-def to_fraction_poly(p: Poly) -> Poly:
-    return p.map_coeffs(lambda c: Fraction(c))
-
-
 def clear_denominators(p: Poly) -> tuple[Poly, int]:
     """Smallest positive den with den*p integral; returns (den*p, den)."""
     den = 1
@@ -278,42 +275,7 @@ def discriminant(p: Poly):
     return _exact_div_elem(r, p.lc)
 
 
-# -- gcd and Sturm machinery over Q -----------------------------------------
-
-
-def divmod_q(p: Poly, d: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder over the rationals."""
-    if d.is_zero():
-        raise InternalInvariantError("polynomial division by zero")
-    rem = [Fraction(c) for c in p.coeffs]
-    dc = [Fraction(c) for c in d.coeffs]
-    dd = len(dc) - 1
-    qs = [Fraction(0)] * max(len(rem) - dd, 0)
-    while len(rem) - 1 >= dd:
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dd:
-            break
-        shift = len(rem) - 1 - dd
-        q = rem[-1] / dc[-1]
-        qs[shift] = q
-        for i, c in enumerate(dc):
-            rem[shift + i] -= q * c
-    return Poly(qs), Poly(rem)
-
-
-def gcd_q(p: Poly, q: Poly) -> Poly:
-    """Monic gcd over Q (a nonzero constant becomes 1)."""
-    a, b = to_fraction_poly(p), to_fraction_poly(q)
-    while not b.is_zero():
-        a, b = b, divmod_q(a, b)[1]
-    if a.is_zero():
-        return a
-    return a.map_coeffs(lambda c: c / a.lc)
-
-
-def is_squarefree_poly(p: Poly) -> bool:
-    return gcd_q(p, p.derivative()).degree <= 0
+# -- real roots: Sturm chains over Z --------------------------------------
 
 
 def cauchy_root_bound(p: Poly) -> int:
@@ -343,33 +305,56 @@ def _sign_at(coeffs: list[int], num: int, den: int, shift: int = 0) -> int:
     return _sign_int(acc)
 
 
-def _primitive_int_poly(p: Poly) -> list[int]:
-    q, _ = clear_denominators(to_fraction_poly(p))
+def _primitive(coeffs: list[int]) -> list[int]:
+    """Divide out the positive content, keeping the sign of every coefficient."""
     g = 0
-    for c in q.coeffs:
-        g = math.gcd(g, abs(c))
-    if g == 0:
-        return []
-    return [c // g for c in q.coeffs]
+    for c in coeffs:
+        g = math.gcd(g, c)
+    return [c // g for c in coeffs]
+
+
+def _neg_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of -(a mod b), scaled by a positive rational.
+
+    Each pseudo-division step multiplies the running remainder by a positive
+    factor |lc(b)|/g only, so the result keeps the sign of the rational
+    remainder's negation.  Empty when b divides a.
+    """
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    sb = 1 if lb > 0 else -1
+    while len(r) - 1 >= db:
+        c = r[-1]
+        if c:
+            g = math.gcd(c, lb)
+            m, q = abs(lb) // g, sb * c // g
+            sh = len(r) - 1 - db
+            if m != 1:
+                r = [v * m for v in r]
+            for i, bc in enumerate(b):
+                r[sh + i] -= q * bc
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return _primitive([-v for v in r]) if r else []
 
 
 def _sturm_chain_int(coeffs: list[int]) -> list[list[int]]:
-    """Sturm chain of a squarefree integer polynomial, members primitive."""
-    chain = [Poly(coeffs), Poly(coeffs).derivative()]
-    while chain[-1].degree > 0:
-        rem = divmod_q(chain[-2], chain[-1])[1]
-        if rem.is_zero():
+    """Sturm chain of an integer polynomial by integer pseudo-remainders.
+
+    Every member is the primitive part of the rational Sturm chain's member,
+    with the same sign (pseudo-division and Sturm sequences as in Cohen,
+    GTM 138).  The last member is gcd(f, f') up to a constant, so f is
+    squarefree exactly when it is a constant.
+    """
+    chain = [coeffs, _primitive([i * c for i, c in enumerate(coeffs)][1:])]
+    while len(chain[-1]) > 1:
+        rem = _neg_pseudo_rem(chain[-2], chain[-1])
+        if not rem:
             break
-        chain.append(-rem)
-    out = []
-    for member in chain:
-        if member.is_zero():
-            continue
-        ints = _primitive_int_poly(member)
-        if member.lc * ints[-1] < 0:
-            ints = [-c for c in ints]
-        out.append(ints)
-    return out
+        chain.append(rem)
+    return chain
 
 
 def _variations(signs) -> int:
@@ -379,18 +364,6 @@ def _variations(signs) -> int:
 
 def _chain_variations_at(chain: list[list[int]], x: Fraction) -> int:
     return _variations([_sign_at(c, x.numerator, x.denominator) for c in chain])
-
-
-def sturm_real_root_count(p: Poly) -> int:
-    """Number of real roots of a squarefree polynomial."""
-    if p.degree < 1:
-        return 0
-    if not is_squarefree_poly(p):
-        raise ValidationError("Sturm count requires a squarefree polynomial")
-    chain = _sturm_chain_int(_primitive_int_poly(p))
-    at_neg = _variations([c[-1] * (-1) ** (len(c) - 1) for c in chain])
-    at_pos = _variations([c[-1] for c in chain])
-    return at_neg - at_pos
 
 
 class IsolatedRoot:
@@ -469,6 +442,9 @@ class IsolatedRoot:
         return f"IsolatedRoot({float(mid):.6g}, {tag})"
 
 
+_NOT_SQUAREFREE = "root isolation requires a squarefree polynomial"
+
+
 def isolate_real_roots(p: Poly, target_width: Fraction = Fraction(1, 1 << 32)) -> list[IsolatedRoot]:
     """Disjoint enclosures of all real roots of a squarefree polynomial.
 
@@ -478,14 +454,14 @@ def isolate_real_roots(p: Poly, target_width: Fraction = Fraction(1, 1 << 32)) -
     """
     if p.degree < 1:
         raise ValidationError("root isolation needs degree >= 1")
-    if not is_squarefree_poly(p):
-        raise ValidationError("root isolation requires a squarefree polynomial")
-
-    coeffs = _primitive_int_poly(p)
+    coeffs = _primitive(list(clear_denominators(p)[0].coeffs))
     exact_roots: list[Fraction] = []
 
-    # strip a root at zero so bisection never lands on a rational root twice
+    # strip a root at zero so bisection never lands on a rational root twice;
+    # p = x*q is squarefree exactly when q is and q(0) != 0
     if coeffs[0] == 0:
+        if coeffs[1] == 0:
+            raise ValidationError(_NOT_SQUAREFREE)
         exact_roots.append(Fraction(0))
         coeffs = coeffs[1:]
 
@@ -494,6 +470,8 @@ def isolate_real_roots(p: Poly, target_width: Fraction = Fraction(1, 1 << 32)) -
         open_roots: list[IsolatedRoot] = []
         if len(coeffs) - 1 >= 1:
             chain = _sturm_chain_int(coeffs)
+            if len(chain[-1]) > 1:
+                raise ValidationError(_NOT_SQUAREFREE)
             bound = Fraction(cauchy_root_bound(Poly(coeffs)))
             vcache: dict[Fraction, int] = {}
 
@@ -514,11 +492,10 @@ def isolate_real_roots(p: Poly, target_width: Fraction = Fraction(1, 1 << 32)) -
                 mid = (a + b) / 2
                 if _sign_at(coeffs, mid.numerator, mid.denominator) == 0:
                     # rational root hit: peel it off and isolate the rest afresh
+                    # (den*x - num) is primitive, so by Gauss's lemma the
+                    # quotient is integral and primitive, with the same sign
                     exact_roots.append(mid)
-                    quot, rem = divmod_q(Poly(coeffs), Poly([-mid, Fraction(1)]))
-                    if not rem.is_zero():
-                        raise InternalInvariantError("deflation by a certified root left a remainder")
-                    coeffs = _primitive_int_poly(quot)
+                    coeffs = list(Poly(coeffs).exact_div(Poly([-mid.numerator, mid.denominator])).coeffs)
                     restart = True
                     break
                 stack.append((a, mid))

@@ -22,7 +22,7 @@ from .imquad import make_imq
 from .intervals import PREC_CAP
 from .intutil import is_squarefree, odd_square_free, v2
 from .numberfield import NumberField, make_field, validate_precision_cap
-from .solver import solve
+from .solver import solve, validate_box_radius
 
 # Generators of power integral bases, as coordinates (x, y, z) in the
 # non-constant integral basis elements; complete up to sign and translation.
@@ -153,7 +153,7 @@ def verify_theorem_cq(a_max: int = 20, d_max: int = 30, box_radius: int = 20,
     """
     for name, val in (("a_max", a_max), ("d_max", d_max), ("jobs", jobs),
                       ("box_radius", box_radius)):
-        if not isinstance(val, int) or val < 1:
+        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
             raise ValidationError(f"{name} must be a positive integer")
     validate_precision_cap(precision_cap)
     d_values = list(range(1, d_max + 1))
@@ -203,6 +203,8 @@ def d3_partial_search(a: int, box_radius: int = 10, precision_cap: int = PREC_CA
     coordinate box and the report stays BOX_LIMITED; a negative search is
     INCONCLUSIVE rather than NOT_MONOGENIC.
     """
+    validate_box_radius(box_radius)
+    validate_precision_cap(precision_cap)
     L = make_simplest_quartic(a, precision_cap=precision_cap)
     K = make_composite(L, make_imq(3))
     report = solve(K, pib_source=olajos_generators(a), box_radius=box_radius)

@@ -284,6 +284,11 @@ def _test_candidate(K: CompositeField, xs_tail, ys) -> CandidateTrace:
     return CandidateTrace(xs_tail, ys, eq1, eq2, f_value, index, True, "generator")
 
 
+def validate_box_radius(box_radius) -> None:
+    if not isinstance(box_radius, int) or isinstance(box_radius, bool) or box_radius < 1:
+        raise ValidationError("box radius must be a positive integer")
+
+
 def solve(K: CompositeField, pib_source="box", box_radius: int = 20,
           collect_traces: bool = True) -> SolverReport:
     """Enumerate generators of power integral bases of K.
@@ -295,13 +300,12 @@ def solve(K: CompositeField, pib_source="box", box_radius: int = 20,
     the small-index enumerations; every such limitation is recorded in the
     report's assumptions and completeness fields.
     """
+    validate_box_radius(box_radius)
     L = K.L
     n = K.n
     bounds = theorem_main_bounds(K)
     regime = bounds.regime
-    radius = int(box_radius)
-    if radius < 1:
-        raise ValidationError("box radius must be a positive integer")
+    radius = box_radius
 
     assumptions = [
         "x1 is normalized to 0: the index is invariant under rational integer translation",

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from compib import make_composite, make_field, make_imq, make_simplest_quartic
@@ -9,6 +11,25 @@ OCTIC_POLY = (1, -1, -4, 0, 1)
 
 # x^5 - 5x^3 + 4x - 1: totally real with squarefree discriminant
 QUINTIC_POLY = (-1, 4, 0, -5, 0, 1)
+
+
+def fraction_det(rows) -> Fraction:
+    """Determinant of a rational matrix by Gaussian elimination over Fractions."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
+    return det
 
 
 @pytest.fixture(scope="session")

@@ -16,10 +16,12 @@ from compib import (bounds_hold, make_composite, make_imq,
                     verify_theorem_cq)
 from compib.cli import main
 from compib.errors import ValidationError
-from compib.numberfield import _invert_matrix, make_field
+from compib.numberfield import make_field
 from compib.polynomials import Poly, discriminant
 from compib.simplest_quartic import (OLAJOS_A2, OLAJOS_A4,
                                      family_poly_coeffs, validate_parameter)
+
+from conftest import fraction_det
 
 IDENTITY4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
@@ -120,7 +122,7 @@ def test_criterion_5_family_discriminants():
         f = Poly(family_poly_coeffs(a))
         assert discriminant(f) == 4 * (a * a + 16) ** 3
         L = make_simplest_quartic(a)
-        _, det = _invert_matrix([list(r) for r in L.basis])
+        det = fraction_det(L.basis)
         assert det * det * discriminant(L.f) == L.disc
         checked += 1
     assert checked >= 40

@@ -5,7 +5,10 @@ assumptions and the serialisation itself; a refactor must keep them
 byte-identical.  Every case whose base field has composite degree holds
 subfield zeros inside its box.  ``L2_field.json`` is the ``poly`` and
 ``basis`` that ``field-info --a 2`` prints, so the ``--field`` route solves
-the same field as ``--a 2``.
+the same field as ``--a 2``.  The ``field_info`` cases cover a basis
+denominator of 4 (``a = 8``), an odd ``a`` and the octic example's base field
+x^4 - 4x^2 - x + 1 (``octic_field.json``); their ``real_roots`` and ``basis``
+strings pin root isolation and the basis.
 """
 
 import os
@@ -18,6 +21,10 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 CASES = [
     ("field_info_a2", ["field-info", "--a", "2"]),
+    ("field_info_a8", ["field-info", "--a", "8"]),
+    ("field_info_a1", ["field-info", "--a", "1"]),
+    ("field_info_octic",
+     ["field-info", "--field", os.path.join(GOLDEN, "octic_field.json")]),
     ("composite_index_a2_d7",
      ["composite-index", "--a", "2", "--d", "7", "--x", "0,1,0", "--y", "1,0,0,0"]),
     ("solve_a2_d7_box8", ["solve", "--a", "2", "--d", "7", "--box", "8"]),

@@ -1,17 +1,76 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compib.errors import ValidationError
-from compib.numberfield import field_from_dict, make_field
-from compib.polynomials import Poly, discriminant
+from compib.numberfield import _scaled_inverse, _unclosed_product, field_from_dict, make_field
+from compib.polynomials import Poly, discriminant, poly_mod_monic
+from compib.simplest_quartic import family_poly_coeffs, make_simplest_quartic
 
 from conftest import OCTIC_POLY, QUINTIC_POLY
 
 X = sympy.Symbol("x")
 T = sympy.Symbol("t")
+
+
+# -- the Fraction coordinate route, kept as the oracle for ring closure ----------
+
+
+def _invert_reference(rows):
+    """Gauss-Jordan inverse of a rational matrix over Fractions."""
+    n = len(rows)
+    aug = [[Fraction(v) for v in r] + [Fraction(int(i == j)) for j in range(n)]
+           for i, r in enumerate(rows)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _from_power_reference(basis, pcoeffs):
+    n = len(basis)
+    inv = _invert_reference(basis)
+    pc = list(pcoeffs) + [Fraction(0)] * (n - len(pcoeffs))
+    return tuple(sum((pc[i] * inv[i][j] for i in range(n)), Fraction(0)) for j in range(n))
+
+
+def _multiply_coords_reference(f, basis, c1, c2):
+    """Product of two elements given by basis coordinates, over Fractions."""
+    def power(coords):
+        return Poly([sum((c * row[i] for c, row in zip(coords, basis)), Fraction(0))
+                     for i in range(len(basis))])
+
+    rem = poly_mod_monic(power(c1) * power(c2), f)
+    return _from_power_reference(basis, rem.coeffs)
+
+
+def _closure_reference(f, basis):
+    """First pair (i, j), i <= j, with b_i*b_j off the lattice, else None."""
+    n = len(basis)
+    for i in range(n):
+        for j in range(i, n):
+            unit = [[int(k == m) for k in range(n)] for m in (i, j)]
+            if any(c.denominator != 1 for c in _multiply_coords_reference(f, basis, *unit)):
+                return i, j
+    return None
+
+
+def _closure_integer(f, basis):
+    denom = math.lcm(*(Fraction(c).denominator for row in basis for c in row))
+    scaled = [[int(Fraction(c) * denom) for c in row] for row in basis]
+    inv, det = _scaled_inverse(scaled)
+    return _unclosed_product(f, scaled, inv, denom * det)
 
 
 def test_make_field_validations():
@@ -25,9 +84,12 @@ def test_make_field_validations():
         make_field([-2, 0, 1], ((0, 1), (1, 0)))  # first basis row must be 1
     with pytest.raises(ValidationError):
         make_field([-2, 0, 1], ((1, 0), (0, 1)), expected_disc=5)
-    with pytest.raises(ValidationError):
-        # (1, x/3) does not span a ring: (x/3)^2 = 2/9 is not in the lattice
+    with pytest.raises(ValidationError, match="integral discriminant"):
+        # (1, x/3) spans a lattice of discriminant 8/9
         make_field([-2, 0, 1], ((1, 0), (0, Fraction(1, 3))))
+    with pytest.raises(ValidationError, match=r"not multiplicatively closed \(product 1,1\)"):
+        # (1, x/2) has discriminant 2 but (x/2)^2 = 1/2 is not in the lattice
+        make_field([-2, 0, 1], ((1, 0), (0, Fraction(1, 2))))
 
 
 def test_sqrt2_field():
@@ -42,7 +104,7 @@ def test_coordinate_roundtrip(fam2):
     rng = random.Random(7)
     for _ in range(20):
         coords = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2))) for _ in range(4))
-        assert fam2.from_power_coeffs(fam2.to_power_coeffs(coords)) == coords
+        assert _from_power_reference(fam2.basis, fam2.to_power_coeffs(coords)) == coords
 
 
 def test_multiply_coords_matches_sympy(fam2):
@@ -52,7 +114,7 @@ def test_multiply_coords_matches_sympy(fam2):
     for _ in range(10):
         a = tuple(rng.randint(-5, 5) for _ in range(4))
         b = tuple(rng.randint(-5, 5) for _ in range(4))
-        got = fam2.multiply_coords(a, b)
+        got = _multiply_coords_reference(fam2.f, fam2.basis, a, b)
         pa = sum(c * sum(r * X**i for i, r in enumerate(rows[j])) for j, c in enumerate(a))
         pb = sum(c * sum(r * X**i for i, r in enumerate(rows[j])) for j, c in enumerate(b))
         prod = sympy.rem(sympy.expand(pa * pb), f, X)
@@ -60,11 +122,96 @@ def test_multiply_coords_matches_sympy(fam2):
         assert sympy.expand(prod - back) == 0
 
 
+def test_scaled_inverse_matches_sympy():
+    rng = random.Random(17)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(10):
+            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            m = sympy.Matrix(rows)
+            if m.det() == 0:
+                with pytest.raises(ValidationError, match="linearly dependent"):
+                    _scaled_inverse(rows)
+                continue
+            inv, d = _scaled_inverse(rows)
+            assert abs(d) == abs(m.det())
+            assert m * sympy.Matrix(inv) == d * sympy.eye(n)
+
+
+def _unimodular(rng, n, steps):
+    # a product of elementary integer row operations that leave row 0 alone
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i = rng.randrange(1, n)
+        j = rng.randrange(n)
+        if i != j:
+            k = rng.randint(-3, 3)
+            t[i] = [a + k * b for a, b in zip(t[i], t[j])]
+        else:
+            t[i] = [-a for a in t[i]]
+    return t
+
+
+def _order(which):
+    """(defining polynomial, basis of an order), rows over the power basis."""
+    if which < 4:
+        a = (2, 4, 8, 1)[which]
+        return family_poly_coeffs(a), make_simplest_quartic(a).basis
+    poly = (OCTIC_POLY, QUINTIC_POLY, (-2, 0, 1))[which - 4]
+    n = len(poly) - 1
+    return poly, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=2**32),
+       st.sampled_from([1, 2, 3]), st.booleans())
+def test_integer_closure_matches_reference(which, seed, m, perturb):
+    # an order, a sub-order Z + m*O, the same lattices under a unimodular
+    # change of basis (all closed), and perturbed rational bases (mostly not)
+    poly, order = _order(which)
+    f = Poly(list(poly))
+    n = len(order)
+    rng = random.Random(seed)
+    rows = [list(order[0])] + [[Fraction(c) * m for c in row] for row in order[1:]]
+    t = _unimodular(rng, n, 2 * n)
+    rows = [[sum((t[i][k] * rows[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+            for i in range(n)]
+    if perturb:
+        # divide a row, or add a fraction of another row to it
+        i, k = rng.sample(range(1, n), 2) if n > 2 else (1, 0)
+        q = Fraction(rng.randint(1, 3), rng.choice((2, 3, 4)))
+        if rng.random() < 0.5:
+            rows[i] = [c * q for c in rows[i]]
+        else:
+            rows[i] = [a + q * b for a, b in zip(rows[i], rows[k])]
+    expect = _closure_reference(f, rows)
+    assert _closure_integer(f, rows) == expect
+    if not perturb:
+        assert expect is None
+    # make_field gives the same verdict, unless a non-integral discriminant
+    # stops it first
+    try:
+        make_field(poly, rows)
+    except ValidationError as exc:
+        if "discriminant" not in str(exc):
+            assert str(exc) == f"integral basis is not multiplicatively closed (product {expect[0]},{expect[1]})"
+    else:
+        assert expect is None
+
+
+def test_closure_verdicts_both_ways():
+    # the sweep above must see both verdicts; here one fixed case of each
+    f = Poly(list(family_poly_coeffs(2)))
+    basis = make_simplest_quartic(2).basis
+    assert _closure_integer(f, basis) is None is _closure_reference(f, basis)
+    halved = basis[:3] + (tuple(c / 2 for c in basis[3]),)
+    assert _closure_integer(f, halved) == _closure_reference(f, halved) == (1, 3)
+
+
 def test_char_poly_of_xi_squared(octic_L):
     char = octic_L.char_poly((0, 0, 1, 0))
     assert [c for c in char.coeffs] == [1, -9, 18, -8, 1]
     # same element through the power-coefficient converter
-    coords = octic_L.from_power_coeffs((0, 0, 1, 0))
+    coords = _from_power_reference(octic_L.basis, (0, 0, 1, 0))
     assert coords == (0, 0, 1, 0)
 
 
@@ -85,7 +232,7 @@ def test_norm_is_multiplicative(fam4):
     for _ in range(12):
         a = tuple(rng.randint(-6, 6) for _ in range(4))
         b = tuple(rng.randint(-6, 6) for _ in range(4))
-        ab = fam4.multiply_coords(a, b)
+        ab = _multiply_coords_reference(fam4.f, fam4.basis, a, b)
         assert all(c.denominator == 1 for c in ab)
         ab = tuple(int(c) for c in ab)
         assert fam4.element_norm(ab) == fam4.element_norm(a) * fam4.element_norm(b)

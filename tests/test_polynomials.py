@@ -1,18 +1,21 @@
 from fractions import Fraction
 
+import hashlib
+import math
+from unittest import mock
+
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from compib.errors import InternalInvariantError, ValidationError
 from compib.intervals import RealInterval
 from compib.numberfield import make_field
-from compib.polynomials import (IsolatedRoot, Poly, cauchy_root_bound,
-                                discriminant, divmod_q, gcd_q,
-                                is_squarefree_poly, isolate_real_roots,
-                                poly_mod_monic, resultant,
-                                sturm_real_root_count, to_fraction_poly)
+from compib import polynomials
+from compib.polynomials import (IsolatedRoot, Poly, _sturm_chain_int,
+                                cauchy_root_bound, discriminant,
+                                isolate_real_roots, poly_mod_monic, resultant)
 from compib.simplest_quartic import make_simplest_quartic, validate_parameter
 
 from conftest import IDENTITY4, OCTIC_POLY, QUINTIC_POLY
@@ -48,10 +51,60 @@ def test_exact_div():
         Poly([1, 1, 1]).exact_div(Poly([1, 1]))
 
 
+# -- the rational Sturm chain, kept as the oracle for the integer one -----------
+
+
+def _divmod_q(p: Poly, d: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder over the rationals."""
+    rem = [Fraction(c) for c in p.coeffs]
+    dc = [Fraction(c) for c in d.coeffs]
+    dd = len(dc) - 1
+    qs = [Fraction(0)] * max(len(rem) - dd, 0)
+    while len(rem) - 1 >= dd:
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < dd:
+            break
+        shift = len(rem) - 1 - dd
+        q = rem[-1] / dc[-1]
+        qs[shift] = q
+        for i, c in enumerate(dc):
+            rem[shift + i] -= q * c
+    return Poly(qs), Poly(rem)
+
+
+def _primitive_reference(p: Poly) -> list[int]:
+    # the primitive integer polynomial with the sign of p's leading coefficient
+    den = math.lcm(*(Fraction(c).denominator for c in p.coeffs))
+    ints = [int(Fraction(c) * den) for c in p.coeffs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _sturm_chain_reference(coeffs) -> list[list[int]]:
+    """Sturm chain by Euclid's remainders over Q, f, f', -rem, ..., as the
+    integer route replaced it, each member reported as its primitive part."""
+    chain = [Poly(coeffs), Poly(coeffs).derivative()]
+    while chain[-1].degree > 0:
+        rem = _divmod_q(chain[-2], chain[-1])[1]
+        if rem.is_zero():
+            break
+        chain.append(-rem)
+    return [_primitive_reference(m) for m in chain]
+
+
+def _reference_root_count(coeffs) -> int:
+    # Sturm's theorem: sign variations at -infinity minus those at +infinity
+    chain = _sturm_chain_reference(coeffs)
+    at_neg = polynomials._variations([c[-1] * (-1) ** (len(c) - 1) for c in chain])
+    at_pos = polynomials._variations([c[-1] for c in chain])
+    return at_neg - at_pos
+
+
 def test_divmod_q():
-    p = to_fraction_poly(Poly([3, 0, -2, 5]))
-    d = to_fraction_poly(Poly([1, 2]))
-    q, r = divmod_q(p, d)
+    p = Poly([Fraction(c) for c in (3, 0, -2, 5)])
+    d = Poly([Fraction(1), Fraction(2)])
+    q, r = _divmod_q(p, d)
     assert q * d + r == p
     assert r.degree < d.degree
 
@@ -63,7 +116,7 @@ def test_poly_mod_monic():
     assert r.degree < 4
     # cross-check with sympy remainder
     expect = sympy.rem(X**6, X**4 - 4 * X**2 + 1, X)
-    assert _to_sympy(to_fraction_poly(r)).as_expr().expand() == expect.expand()
+    assert _to_sympy(r).as_expr().expand() == expect.expand()
 
 
 def test_resultant_examples():
@@ -131,24 +184,75 @@ def test_resultant_multiplicative(ca, cb, cc):
 def test_discriminant_matches_sympy():
     for coeffs in ([1, 1, 1, 1, 1], [2, -3, 0, 5], [1, 2, -6, -2, 1], [-7, 0, 0, 1, 3]):
         p = Poly(coeffs)
-        assert discriminant(p) == sympy.discriminant(_to_sympy(to_fraction_poly(p)).as_expr(), X)
+        assert discriminant(p) == sympy.discriminant(_to_sympy(p).as_expr(), X)
 
 
 def test_sturm_counts():
-    assert sturm_real_root_count(Poly([1, 0, 1])) == 0
-    assert sturm_real_root_count(Poly([-2, 0, 1])) == 2
-    assert sturm_real_root_count(Poly([1, 2, -6, -2, 1])) == 4
-    assert sturm_real_root_count(Poly([1, 0, -4, -1, 1])) == 4
-    with pytest.raises(ValidationError):
-        sturm_real_root_count(Poly([1, -2, 1]))
+    for coeffs, count in (([1, 0, 1], 0), ([-2, 0, 1], 2), ([1, 2, -6, -2, 1], 4),
+                          ([1, 0, -4, -1, 1], 4), ([1, 0, 0, 0, 1], 0), ([-2, 0, 0, 1], 1)):
+        assert len(isolate_real_roots(Poly(coeffs))) == count
+        assert _reference_root_count(coeffs) == count
+    with pytest.raises(ValidationError, match="squarefree"):
+        isolate_real_roots(Poly([1, -2, 1]))
 
 
 def test_gcd_and_squarefree():
+    # the last chain member is gcd(f, f') up to a constant
     p = Poly([1, 1]) * Poly([1, 1]) * Poly([-3, 1])
-    g = gcd_q(to_fraction_poly(p), to_fraction_poly(p.derivative()))
-    assert g.degree == 1
-    assert not is_squarefree_poly(p)
-    assert is_squarefree_poly(Poly([1, 1]) * Poly([-3, 1]))
+    assert _sturm_chain_int(list(p.coeffs))[-1] == [1, 1]
+    assert _sturm_chain_reference(p.coeffs)[-1] == [1, 1]
+    with pytest.raises(ValidationError, match="squarefree"):
+        isolate_real_roots(p)
+    q = Poly([1, 1]) * Poly([-3, 1])
+    assert len(_sturm_chain_int(list(q.coeffs))[-1]) == 1
+    assert len(isolate_real_roots(q)) == 2
+    # a double root at zero is caught before the root at zero is stripped
+    with pytest.raises(ValidationError, match="squarefree"):
+        isolate_real_roots(Poly([0, 0, -2, 0, 1]))
+
+
+def _with_rational_roots(base, factors):
+    p = Poly(base)
+    for num, den in factors:
+        p = p * Poly([-num, den])
+    return list(p.coeffs)
+
+
+def _squarefree(coeffs) -> bool:
+    return len(coeffs) >= 2 and any(coeffs[1:]) and len(_sturm_chain_reference(coeffs)[-1]) == 1
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.lists(st.integers(min_value=-12, max_value=12), min_size=1, max_size=6),
+       st.lists(st.tuples(st.integers(min_value=-6, max_value=6), st.sampled_from([1, 2, 3, 4])),
+                max_size=3))
+@example([-2, 0, 1], [(1, 1), (-1, 2)])
+def test_integer_sturm_chain_matches_rational_chain(base, factors):
+    # every chain that root isolation builds, deflated ones included, equals
+    # the rational chain of the same polynomial
+    coeffs = _with_rational_roots(base, factors)
+    assume(3 <= len(coeffs) <= 9 and _squarefree(coeffs))
+    assert _sturm_chain_int(_primitive_reference(Poly(coeffs))) == _sturm_chain_reference(coeffs)
+    built = []
+
+    def record(cs):
+        chain = _sturm_chain_int(cs)
+        built.append((list(cs), chain))
+        return chain
+
+    with mock.patch.object(polynomials, "_sturm_chain_int", record):
+        roots = isolate_real_roots(Poly(coeffs))
+    for cs, chain in built:
+        assert chain == _sturm_chain_reference(cs)
+    assert len(roots) == _reference_root_count(coeffs)
+    # a rational root is an exact point when bisection hit it, else enclosed
+    rational = {Fraction(int(r.p), int(r.q)) for r in sympy.Poly(list(reversed(coeffs)), X).ground_roots()}
+    assert {r.lo for r in roots if r.exact} <= rational
+    for q in rational:
+        assert sum(not r.excludes(q) for r in roots) == 1
+    if factors == [(1, 1), (-1, 2)]:
+        # (x^2 - 2)(x - 1)(2x + 1): the bisection lands on 1 and deflates
+        assert len(built) > 1
 
 
 def test_isolate_real_roots_sqrt2():
@@ -227,11 +331,6 @@ def _refine_reference(coeffs, lo, hi, exact, width):
 
 def _state(r: IsolatedRoot):
     return r.lo, r.hi, r.exact
-
-
-def _squarefree(coeffs) -> bool:
-    p = Poly(coeffs)
-    return p.degree >= 1 and is_squarefree_poly(p)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -315,3 +414,13 @@ def test_embeddings_match_fraction_bisection():
             got = [[_value_key(v) for v in row] for row in L.embeddings(prec).basis_vals]
             assert got == expect, (name, prec)
             assert [_state(r) for r in L.roots] == states, (name, prec)
+
+
+def test_root_states_fingerprint():
+    # every root's exact endpoint state right after make_field, pinned bit for
+    # bit: any change to root isolation must keep these endpoints
+    states = [(r._lo, r._hi, r._den, r._shift, r.exact)
+              for _, L in _embedding_fields() for r in L.roots]
+    assert len(states) == 157
+    digest = hashlib.sha256(repr(states).encode()).hexdigest()
+    assert digest == "97ac1e5ed03bf9a842484102a56cec81228e43919b0a39fd182ca535b8a48ea9"

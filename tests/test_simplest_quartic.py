@@ -7,12 +7,13 @@ import sympy
 
 from compib import simplest_quartic
 from compib.errors import ValidationError
-from compib.numberfield import _invert_matrix
-from compib.polynomials import Poly, discriminant, sturm_real_root_count
+from compib.polynomials import Poly, discriminant, isolate_real_roots
 from compib.simplest_quartic import (OLAJOS_A2, OLAJOS_A4, d3_partial_search,
                                      family_discriminant, family_poly_coeffs,
                                      make_simplest_quartic, olajos_generators,
                                      verify_theorem_cq)
+
+from conftest import fraction_det
 
 
 def test_parameter_validation():
@@ -34,14 +35,14 @@ def test_poly_discriminant_law():
     for a in (1, 2, 4, 5, 6, 7):
         f = Poly(family_poly_coeffs(a))
         assert discriminant(f) == 4 * (a * a + 16) ** 3
-        assert sturm_real_root_count(f) == 4
+        assert len(isolate_real_roots(f)) == 4
 
 
 def test_basis_determinant_law():
     # det(B)^2 * disc(f) = D_L for every constructed field
     for a in (1, 2, 4, 5, 6, 8, 16):
         L = make_simplest_quartic(a)
-        _, det = _invert_matrix([list(r) for r in L.basis])
+        det = fraction_det(L.basis)
         assert det * det * discriminant(L.f) == L.disc
 
 
@@ -208,6 +209,24 @@ def test_d3_partial_search(fam1):
     assert rep["a"] == 1 and rep["box_radius"] == 5
     with pytest.raises(ValidationError):
         d3_partial_search(3)
+
+
+def test_d3_search_validates_before_any_field_build(monkeypatch):
+    builds = []
+    monkeypatch.setattr(simplest_quartic, "make_field", lambda *a, **k: builds.append(a))
+    for bad in (0, -2, 2.5, 2.0, "3", True):
+        with pytest.raises(ValidationError, match="box radius"):
+            d3_partial_search(1, box_radius=bad)
+    for bad in (64, True, 256.0):
+        with pytest.raises(ValidationError, match="precision cap"):
+            d3_partial_search(1, box_radius=2, precision_cap=bad)
+    assert builds == []
+
+
+def test_grid_rejects_bool_arguments():
+    for kw in ({"a_max": True}, {"d_max": True}, {"jobs": True}, {"box_radius": True}):
+        with pytest.raises(ValidationError, match="must be a positive integer"):
+            verify_theorem_cq(**{"a_max": 1, "d_max": 1, "box_radius": 2, **kw})
 
 
 def test_invalid_parameter_gives_skip_rows():

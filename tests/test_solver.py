@@ -170,6 +170,14 @@ def test_pib_source_validation(fam2):
         solve(K, box_radius=0)
 
 
+def test_box_radius_must_be_a_positive_int(fam2):
+    K = make_composite(fam2, make_imq(7))
+    for bad in (0, -1, 2.7, 2.0, "3", True, False, None):
+        with pytest.raises(ValidationError, match="box radius must be a positive integer"):
+            solve(K, pib_source=olajos_generators(2), box_radius=bad)
+    assert solve(K, pib_source=olajos_generators(2), box_radius=1).verdict == "NOT_MONOGENIC"
+
+
 def test_report_dict_shape(K_octic):
     r = solve(K_octic, box_radius=6)
     d = r.to_dict()
