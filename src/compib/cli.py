@@ -127,10 +127,11 @@ def _cmd_composite_index(args) -> int:
 
 
 def _format_bounds(b) -> str:
-    kind = "z = 2x+y" if b.regime.startswith("RES") else "x"
+    kind = "z" if b.regime.startswith("RES") else "x"
     tail = "0" if b.forces_zero_y else f"at most {b.bound_y_floor}"
     return (f"|I_L({kind})| <= {b.bound_main}, |I_L(y)|^2 <= {b.bound_y_sq}"
-            f" -> y-part index {tail}")
+            f" -> y-part index {tail}; from F: I_L({kind})^2 <= {b.bound_real_sq}"
+            f" (real part), P(y)^2 <= {b.bound_y_sq} (cross sum)")
 
 
 def _print_report(args, report) -> None:

@@ -317,6 +317,25 @@ class NumberField:
             raise InternalInvariantError("norm of an integral element is not an integer")
         return q
 
+    def cross_sum_square(self, coords) -> int:
+        """P(y)^2 for P(y) = prod_{i<j} (y_i + y_j) over the conjugates of y.
+
+        With R the characteristic polynomial of D*y and r_i = D*y_i its
+        roots, Res(R(t), R(-t)) = prod_{i,j} (r_i + r_j) = 2^n * R(0) *
+        P(D*y)^2, and P(D*y) = D^e * P(y) with e = n(n-1)/2.
+        """
+        if not all(isinstance(c, int) for c in coords):
+            raise ValidationError("cross sums require integral coordinates")
+        r, d = self._scaled_char_resultant(coords)
+        r0 = r.coeffs[0] if r.coeffs else 0
+        if r0 == 0:
+            return 0
+        mirrored = Poly([-c if k % 2 else c for k, c in enumerate(r.coeffs)])
+        q, rem = divmod(resultant(r, mirrored), (2**self.n) * r0 * d ** (self.n * (self.n - 1)))
+        if rem or q < 0:
+            raise InternalInvariantError("cross-sum product is not a square integer")
+        return q
+
     def element_index(self, xs) -> int:
         """Index |Z_L : Z[alpha]|-style invariant of alpha = sum xs[i]*basis[i+1].
 

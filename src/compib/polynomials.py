@@ -183,6 +183,8 @@ def poly_from_ints(coeffs) -> Poly:
 
 def clear_denominators(p: Poly) -> tuple[Poly, int]:
     """Smallest positive den with den*p integral; returns (den*p, den)."""
+    if all(isinstance(c, int) for c in p.coeffs):
+        return p, 1
     den = 1
     for c in p.coeffs:
         den = den * Fraction(c).denominator // math.gcd(den, Fraction(c).denominator)
@@ -263,16 +265,20 @@ def resultant(p: Poly, q: Poly):
 
 
 def discriminant(p: Poly):
-    """(-1)^(n(n-1)/2) Res(p, p') / lc(p)."""
+    """(-1)^(n(n-1)/2) Res(p, p') / lc(p) for integer or rational p.
+
+    The elimination runs on g = D*p, D the least common denominator:
+    disc(p) = disc(g) / D^(2n-2), an int when D = 1.
+    """
     n = p.degree
     if n < 1:
         raise ValidationError("discriminant needs degree >= 1")
-    r = resultant(p, p.derivative())
-    if _is_zero_elem(r):
-        return r
+    g, den = clear_denominators(p)
+    r = resultant(g, g.derivative())
     if (n * (n - 1) // 2) % 2:
         r = -r
-    return _exact_div_elem(r, p.lc)
+    disc = _exact_div_elem(r, g.lc)
+    return disc if den == 1 else Fraction(disc, den ** (2 * n - 2))
 
 
 # -- real roots: Sturm chains over Z --------------------------------------

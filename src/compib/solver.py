@@ -1,19 +1,53 @@
 """Bound reduction and case procedure for power integral bases of K = L*M.
 
-Any generator of a power integral basis must satisfy the two index-form
-bounds of the composite construction:
+Write a candidate generator as alpha = x + omega*y with x, y in Z_L, let
+y_1..y_n be the conjugates of y under the real embeddings of L, and put
+e = n(n-1)/2, u = Re(omega) and v^2 = Im(omega)^2 (d, or d/4 when
+-d = 1 mod 4).  The index factors as eq1 * |eq2| * |F| (see ``composite``),
+with eq2 = N(y) and
+
+    eq1 * D_L = prod_{i<j} [(dx_ij + u*dy_ij)^2 + v^2 * dy_ij^2]
+    |F|       = prod_{i<j} [(dx_ij + u*dy_ij)^2 + v^2 * (y_i + y_j)^2]
+
+for dx_ij = x_i - x_j and dy_ij = y_i - y_j.  A generator has all three
+factors equal to 1, and since L is totally real each bracket is at least
+each of its two squares.  From eq1 come the paper's two bounds,
 
     -d = 2, 3 (mod 4):  |I_L(x)| <= 1          and |I_L(y)| <= (1/sqrt(d))^e
     -d = 1     (mod 4): |I_L(2x+y)| <= 2^e      and |I_L(y)| <= (2/sqrt(d))^e
 
-with e = n(n-1)/2.  The right-hand side of the y-bound drops below 1 for
-every d except 1 and 3, which splits the search into four regimes:
+and from F two more, with z = 2x + y and the rational integer
+P(y) = prod_{i<j} (y_i + y_j):
 
-  NONRES_D1    d = 1:     x- and y-parts are 0 or index-form units.
-  NONRES_DGT1  d >= 2:    y-part index form vanishes; x-part as above.
-  RES_D3       d = 3:     bounded box search over z = 2x + y and y.
-  RES_DGT3     d >= 7:    y-part index form vanishes; z = 2x + y reduces
-                          to an index-form unit condition on x.
+    real-part bound:  I_L(x)^2 * D_L <= 1,  or  I_L(z)^2 * D_L <= 4^e
+    cross-sum bound:  P(y)^2 <= v^(-2e), the square of the y-bound's right side
+
+The y-bound drops below 1 for every d except 1 and 3, and then both
+I_L(y) and P(y) vanish.
+
+Theorem.  If d is not 1 or 3 and n has no proper divisor that is even and
+at least 4, K has no power integral basis.
+
+Proof.  Let alpha be a generator.  Then I_L(y) = 0, P(y) = 0 and
+N(y) = +-1.  Let m be the minimal polynomial of y and s its degree; s is a
+proper divisor of n, because I_L(y) = 0 says y generates a proper subfield.
+P(y) = 0 gives i != j with y_i = -y_j, so m(t) and m(-t) share the root
+y_j; both are irreducible, hence m(-t) = (-1)^s m(t).  For odd s this
+forces m(0) = 0 and y = 0, against N(y) = +-1.  So s is even and
+m(t) = h(t^2).  For s = 2, m = t^2 - c with -c = N_{Q(y)/Q}(y) = +-1: c = 1
+makes y rational and c = -1 makes it non-real.  So s >= 4 is an even
+proper divisor of n.  QED
+
+This covers every prime n and every n <= 7, so every quartic cell with d
+not 1 or 3 is NOT_MONOGENIC and COMPLETE without a box, a candidate or a
+generator table.  The other cells fall into three regimes:
+
+  NONRES_D1    d = 1:     the real-part bound makes I_L(x) = 0; y is 0, a
+                          generator of L or a subfield zero, with P(y)^2 <= 1.
+  RES_D3       d = 3:     bounded box search over z = 2x + y and y, with the
+                          paper's two bounds only.
+  NONRES_DGT1, RES_DGT3   d >= 2 when n has a proper even divisor >= 4:
+                          x (or z) and y are filtered by both new bounds.
 
 A vanishing index form means the element lies in a proper subfield; for
 prime n that forces the zero vector, while for composite n the nonzero
@@ -56,15 +90,17 @@ def regime_of(K: CompositeField) -> str:
 
 @dataclass(frozen=True)
 class BoundsRecord:
-    """Exact content of the two index-form bounds for one composite field."""
+    """Exact content of the index-form bounds for one composite field."""
 
     regime: str
     d: int
     e: int
     bound_main: int          # RHS of the x-bound (d = 2,3 mod 4) or z-bound
-    bound_y_sq: Fraction     # exact square of the RHS of the y-bound
+    bound_y_sq: Fraction     # exact square of the RHS of the y-bound; bounds P(y)^2 too
     bound_y_floor: int
     forces_zero_y: bool
+    bound_real_sq: Fraction  # real-part bound: I_L(x)^2, or I_L(2x+y)^2, is at most this
+    bound_real_floor: int
 
     def to_dict(self) -> dict:
         return {
@@ -75,6 +111,8 @@ class BoundsRecord:
             "bound_y_squared": str(self.bound_y_sq),
             "bound_y_floor": self.bound_y_floor,
             "forces_zero_y": self.forces_zero_y,
+            "bound_real_squared": str(self.bound_real_sq),
+            "bound_real_floor": self.bound_real_floor,
         }
 
 
@@ -88,6 +126,7 @@ def theorem_main_bounds(K: CompositeField) -> BoundsRecord:
     else:
         bound_main = 1
         bound_y_sq = Fraction(1, d**e)
+    bound_real_sq = Fraction(bound_main**2, K.L.disc)
     return BoundsRecord(
         regime=regime,
         d=d,
@@ -96,23 +135,40 @@ def theorem_main_bounds(K: CompositeField) -> BoundsRecord:
         bound_y_sq=bound_y_sq,
         bound_y_floor=floor_sqrt_fraction(bound_y_sq),
         forces_zero_y=bound_y_sq < 1,
+        bound_real_sq=bound_real_sq,
+        bound_real_floor=floor_sqrt_fraction(bound_real_sq),
     )
 
 
+def _f_bounds_text(b: BoundsRecord) -> str:
+    real = "I_L(2x+y)" if b.regime.startswith("RES") else "I_L(x)"
+    return (f"the bounds from |F| = 1: {real}^2 <= {b.bound_real_sq} (real part) "
+            f"and P(y)^2 <= {b.bound_y_sq} (cross sum)")
+
+
+def _has_even_proper_divisor(n: int) -> bool:
+    """Whether n has a proper divisor that is even and at least 4."""
+    return any(n % k == 0 for k in range(4, n, 2))
+
+
 def bounds_hold(K: CompositeField, xs, ys) -> dict[str, bool]:
-    """Check the two bounds on explicit coordinates (exact arithmetic)."""
+    """Check the four bounds on explicit coordinates (exact arithmetic).
+
+    p1/p2 (or p3/p4 in the residue case) are the paper's x- (or z-) and
+    y-bounds; real_part and cross_sum are the two bounds from F.
+    """
     xs, ys = K._check_coords(xs, ys)
     b = theorem_main_bounds(K)
     L = K.L
     iy = L.element_index(ys[1:])
-    out = {}
     if K.M.residue:
-        z = tuple(2 * x + y for x, y in zip(xs[1:], ys[1:]))
-        out["p3"] = L.element_index(z) <= b.bound_main
-        out["p4"] = Fraction(iy * iy) <= b.bound_y_sq
+        real = L.element_index(tuple(2 * x + y for x, y in zip(xs[1:], ys[1:])))
+        out = {"p3": real <= b.bound_main, "p4": iy * iy <= b.bound_y_sq}
     else:
-        out["p1"] = L.element_index(xs[1:]) <= b.bound_main
-        out["p2"] = Fraction(iy * iy) <= b.bound_y_sq
+        real = L.element_index(xs[1:])
+        out = {"p1": real <= b.bound_main, "p2": iy * iy <= b.bound_y_sq}
+    out["real_part"] = real * real <= b.bound_real_sq
+    out["cross_sum"] = L.cross_sum_square(ys) <= b.bound_y_sq
     return out
 
 
@@ -296,9 +352,11 @@ def solve(K: CompositeField, pib_source="box", box_radius: int = 20,
     ``pib_source`` is either "box" (sweep the coordinate box for index-1
     elements of L) or an explicit, assumed-complete sequence of coordinate
     vectors (x_2..x_n); an empty sequence asserts L has no power integral
-    basis.  The box radius also limits the subfield sweeps and, for d = 3,
-    the small-index enumerations; every such limitation is recorded in the
-    report's assumptions and completeness fields.
+    basis.  A cell the theorem in the module docstring settles returns at
+    once, with no sweep and no candidate.  Otherwise the box radius also
+    limits the subfield sweeps and the small-index enumerations; every such
+    limitation is recorded in the report's assumptions and completeness
+    fields.
     """
     validate_box_radius(box_radius)
     L = K.L
@@ -307,14 +365,33 @@ def solve(K: CompositeField, pib_source="box", box_radius: int = 20,
     regime = bounds.regime
     radius = box_radius
 
+    pib_explicit = not (isinstance(pib_source, str) and pib_source == "box")
+    if pib_explicit:
+        pib = _validated_pib(L, pib_source)
+
+    if bounds.forces_zero_y and not _has_even_proper_divisor(n):
+        return SolverReport(
+            verdict=NOT_MONOGENIC,
+            completeness=COMPLETE,
+            regime=regime,
+            d=K.M.d,
+            bounds=bounds,
+            generators=[],
+            assumptions=[
+                "the y-part bound is below 1, forcing the y-part index form to vanish",
+                f"{_f_bounds_text(bounds)} force P(y) = 0; with I_L(y) = 0 and N(y) = +-1, "
+                f"y would generate a subfield of even degree >= 4, which L of degree {n} "
+                "cannot have: no y-part exists",
+            ],
+            candidates_tested=0,
+            traces=[] if collect_traces else None,
+        )
+
     assumptions = [
         "x1 is normalized to 0: the index is invariant under rational integer translation",
         "generators are sign-orbit representatives: first nonzero of (x_2..x_n, y_1..y_n) positive",
     ]
-
-    pib_explicit = not (isinstance(pib_source, str) and pib_source == "box")
     if pib_explicit:
-        pib = _validated_pib(L, pib_source)
         assumptions.append("the supplied generator list for L is assumed complete")
     else:
         pib = tuple(v for v, _ in L.enumerate_bounded_index(1, radius))
@@ -335,46 +412,47 @@ def solve(K: CompositeField, pib_source="box", box_radius: int = 20,
     if bounds.forces_zero_y:
         assumptions.append("the y-part bound is below 1, forcing the y-part index form to vanish")
 
+    # x-parts (z = 2x + y in the residue case) and y-parts: 0, the subfield
+    # zeros, and the nonzero indices each bound allows
     if regime == RES_D3:
+        # the paper's two bounds only
+        real_limit, cross_sum_sq = bounds.bound_main, None
+        y_units = tuple(v for v, _ in L.enumerate_bounded_index(bounds.bound_y_floor, radius))
         assumptions.append(
             f"elements of index up to {bounds.bound_main} (z-part) and up to "
             f"{bounds.bound_y_floor} (y-part) enumerated only inside the box |x_i| <= {radius}"
         )
-    elif regime == RES_DGT3 and zero_idx:
-        assumptions.append(
-            f"z-part candidates for subfield y-parts swept only inside the box |z_i| <= {radius}"
-        )
-
-    # y-parts: 0, the subfield zeros, and the elements allowed by the y-bound
-    zero_vec = (0,) * (n - 1)
-    if bounds.forces_zero_y:
-        y_units: tuple[tuple[int, ...], ...] = ()
-    elif regime == RES_D3:
-        y_units = tuple(v for v, _ in L.enumerate_bounded_index(bounds.bound_y_floor, radius))
     else:
-        y_units = pib
+        real_limit, cross_sum_sq = bounds.bound_real_floor, bounds.bound_y_sq
+        y_units = () if bounds.forces_zero_y else pib
+        assumptions.append(f"{_f_bounds_text(bounds)} filter the candidates")
+        if real_limit:
+            assumptions.append(
+                f"z-part candidates of index 1 to {real_limit} swept only inside the box "
+                f"|z_i| <= {radius}"
+            )
+    zero_vec = (0,) * (n - 1)
     y_tails = [zero_vec, *_signed(y_units), *_signed(zero_idx)]
-    x_units = [zero_vec, *_signed(pib), *_signed(zero_idx)]
-    z_pool = None
+    real_units = L.enumerate_bounded_index(real_limit, radius) if real_limit else ()
+    real_pool = [zero_vec, *_signed(v for v, _ in real_units), *_signed(zero_idx)]
 
     # the y-tails are distinct, and L memoises each y1 equation across calls
     candidates: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     for ytail in y_tails:
-        if not K.M.residue or (regime == RES_DGT3 and ytail == zero_vec):
-            # the x-bound itself, or z = 2x: the z-bound collapses to the unit condition on x
-            xs_tails = x_units
-        else:
-            # x = (z - y)/2 over the z-pool, filtered from the field's box table only
-            # when needed, so a prime-degree cell with a generator table never sweeps
-            if z_pool is None:
-                z_pool = [zero_vec, *_signed(v for v, _ in L.enumerate_bounded_index(bounds.bound_main, radius)),
-                          *_signed(zero_idx)]
-            xs_tails = [tuple((zi - yi) // 2 for zi, yi in zip(z, ytail)) for z in z_pool
+        if K.M.residue:
+            # x = (z - y)/2 for each z in the pool of the same parity as y
+            xs_tails = [tuple((zi - yi) // 2 for zi, yi in zip(z, ytail)) for z in real_pool
                         if not any((zi - yi) % 2 for zi, yi in zip(z, ytail))]
-        if xs_tails:
-            for y1 in solve_norm_unit_y1(L, ytail):
-                for xs_tail in xs_tails:
-                    candidates.add(_canonical_candidate(xs_tail, (y1, *ytail)))
+        else:
+            xs_tails = real_pool
+        if not xs_tails:
+            continue
+        for y1 in solve_norm_unit_y1(L, ytail):
+            ys = (y1, *ytail)
+            if cross_sum_sq is not None and L.cross_sum_square(ys) > cross_sum_sq:
+                continue
+            for xs_tail in xs_tails:
+                candidates.add(_canonical_candidate(xs_tail, ys))
 
     traces = []
     generators = []

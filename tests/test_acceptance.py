@@ -42,7 +42,8 @@ def test_criterion_1_octic_example(capsys):
     cp = K.char_poly((0, 0, 0, 0), (0, 1, 0, 0))
     assert cp.coeffs == (1, 0, 9, 0, 18, 0, 8, 0, 1)
     assert K.composite_index((0, 0, 0, 0), (0, 1, 0, 0)) == 1
-    assert bounds_hold(K, (0, 0, 0, 0), (0, 1, 0, 0)) == {"p1": True, "p2": True}
+    assert bounds_hold(K, (0, 0, 0, 0), (0, 1, 0, 0)) == {
+        "p1": True, "p2": True, "real_part": True, "cross_sum": True}
     assert elapsed < 1.0
     print(f"criterion 1: PASS  octic example validated in {elapsed:.3f}s")
 

@@ -187,6 +187,15 @@ def test_discriminant_matches_sympy():
         assert discriminant(p) == sympy.discriminant(_to_sympy(p).as_expr(), X)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=12),
+                min_size=2, max_size=9).filter(lambda c: c[-1] != 0))
+def test_rational_discriminant_matches_sympy(coeffs):
+    # the denominators are cleared before the elimination
+    p = Poly(coeffs)
+    assert discriminant(p) == sympy.discriminant(_to_sympy(p).as_expr(), X)
+
+
 def test_sturm_counts():
     for coeffs, count in (([1, 0, 1], 0), ([-2, 0, 1], 2), ([1, 2, -6, -2, 1], 4),
                           ([1, 0, -4, -1, 1], 4), ([1, 0, 0, 0, 1], 0), ([-2, 0, 0, 1], 1)):

@@ -10,6 +10,8 @@ from compib.simplest_quartic import make_simplest_quartic, olajos_generators
 from compib.solver import (bounds_hold, solve, solve_norm_unit_y1,
                            theorem_main_bounds)
 
+from conftest import IDENTITY4, OCTIC_POLY
+
 
 def test_bounds_d3(fam1):
     b = theorem_main_bounds(make_composite(fam1, make_imq(3)))
@@ -42,10 +44,13 @@ def test_bounds_nonres(fam1, octic_L):
 
 def test_bounds_hold_at_generator(K_octic):
     held = bounds_hold(K_octic, (0, 0, 0, 0), (0, 1, 0, 0))
-    assert held == {"p1": True, "p2": True}
-    # a y-part of large index violates p2
+    assert held == {"p1": True, "p2": True, "real_part": True, "cross_sum": True}
+    # a y-part of large index violates p2, and a large cross-sum product the F bound
     held = bounds_hold(K_octic, (0, 0, 0, 0), (0, 5, 3, 2))
-    assert held["p2"] is False
+    assert held["p2"] is False and held["cross_sum"] is False
+    # a generator of L as x-part has I_L(x)^2 * D_L = 1957 > 1
+    held = bounds_hold(K_octic, (0, 1, 0, 0), (0, 1, 0, 0))
+    assert held["p1"] is True and held["real_part"] is False
 
 
 def test_norm_unit_y1_frozen(octic_L):
@@ -61,18 +66,19 @@ def test_second_solve_reuses_field_memos(monkeypatch):
         monkeypatch.setattr(L, name, lambda coords: seen.append(tuple(coords)) or inner(coords))
         return seen
 
-    L = make_simplest_quartic(2)
-    pib = olajos_generators(2)
+    L = make_field(OCTIC_POLY, IDENTITY4, expected_disc=1957)
+    pib = [v for v, _ in L.enumerate_bounded_index(1, 4)]
     first = calls_of(L, "char_poly")
-    solve(make_composite(L, make_imq(7)), pib_source=pib, box_radius=4)
+    solve(make_composite(L, make_imq(1)), pib_source=pib, box_radius=4)
     assert first
     second = calls_of(L, "char_poly")
     indices = calls_of(L, "element_index")
-    report = solve(make_composite(L, make_imq(11)), pib_source=pib, box_radius=4)
+    report = solve(make_composite(L, make_imq(3)), pib_source=pib, box_radius=4)
+    assert report.candidates_tested > 0
     assert not set(second) & set(first)
     assert indices == []
-    fresh = make_simplest_quartic(2)
-    assert report.to_dict() == solve(make_composite(fresh, make_imq(11)), pib_source=pib,
+    fresh = make_field(OCTIC_POLY, IDENTITY4, expected_disc=1957)
+    assert report.to_dict() == solve(make_composite(fresh, make_imq(3)), pib_source=pib,
                                      box_radius=4).to_dict()
 
 
@@ -86,13 +92,13 @@ def test_norm_unit_y1_brute_force(octic_L, fam1):
 
 
 @pytest.mark.parametrize("base, d, regime, candidates, verdict, completeness", [
-    ("octic", 1, "NONRES_D1", 506, "MONOGENIC", "BOX_LIMITED"),
-    ("octic", 2, "NONRES_DGT1", 23, "NOT_MONOGENIC", "BOX_LIMITED"),
+    ("octic", 1, "NONRES_D1", 4, "MONOGENIC", "BOX_LIMITED"),
+    ("octic", 2, "NONRES_DGT1", 0, "NOT_MONOGENIC", "COMPLETE"),
     ("octic", 3, "RES_D3", 207, "INCONCLUSIVE", "BOX_LIMITED"),
-    ("octic", 7, "RES_DGT3", 23, "NOT_MONOGENIC", "BOX_LIMITED"),
+    ("octic", 7, "RES_DGT3", 0, "NOT_MONOGENIC", "COMPLETE"),
     ("fam2", 3, "RES_D3", 173, "INCONCLUSIVE", "BOX_LIMITED"),
-    ("fam2", 7, "RES_DGT3", 55, "NOT_MONOGENIC", "BOX_LIMITED"),
-    ("quadratic", 1, "NONRES_D1", 15, "MONOGENIC", "COMPLETE"),
+    ("fam2", 7, "RES_DGT3", 0, "NOT_MONOGENIC", "COMPLETE"),
+    ("quadratic", 1, "NONRES_D1", 2, "MONOGENIC", "COMPLETE"),
     ("quadratic", 3, "RES_D3", 11, "INCONCLUSIVE", "BOX_LIMITED"),
 ])
 def test_regime_candidate_sets(request, base, d, regime, candidates, verdict, completeness):
@@ -128,17 +134,19 @@ def test_family_composites_not_monogenic(fam1, fam2):
     K = make_composite(fam2, make_imq(7))
     r = solve(K, pib_source=olajos_generators(2), box_radius=10)
     assert r.verdict == "NOT_MONOGENIC"
-    assert r.completeness == "BOX_LIMITED"  # the zero sweep finds subfield vectors
+    # the bounds from F settle the quartic cell, subfield vectors in the box or not
+    assert r.completeness == "COMPLETE"
 
 
-def test_composite_degree_without_zeros_in_box_is_box_limited():
-    # the subfield line (3, 21, -2) of L_20 lies outside the box
+def test_quartic_cell_is_complete_without_a_sweep():
+    # the subfield line (3, 21, -2) of L_20 lies outside any small box; no sweep is needed
     L = make_simplest_quartic(20)
-    r = solve(make_composite(L, make_imq(7)), pib_source=olajos_generators(20),
-              box_radius=5, collect_traces=False)
-    assert L.zero_index_vectors(5) == ()
-    assert r.completeness == "BOX_LIMITED"
-    assert not any("forcing the zero vector" in a for a in r.assumptions)
+    for pib in (olajos_generators(20), "box"):
+        r = solve(make_composite(L, make_imq(7)), pib_source=pib, box_radius=5,
+                  collect_traces=False)
+        assert (r.verdict, r.completeness, r.candidates_tested) == ("NOT_MONOGENIC", "COMPLETE", 0)
+        assert any("(cross sum)" in a and "(real part)" in a for a in r.assumptions)
+    assert L._sweep_cache == {}
 
 
 def test_d3_is_inconclusive(fam1):
@@ -189,8 +197,8 @@ def test_report_dict_shape(K_octic):
     assert "candidates" not in r2.to_dict()
 
 
-def test_rejection_reasons(K_octic):
-    r = solve(K_octic, box_radius=6)
+def test_rejection_reasons(octic_L):
+    r = solve(make_composite(octic_L, make_imq(3)), box_radius=4)
     reasons = {t.reason for t in r.traces if not t.accepted}
     assert reasons <= {"eq1 != +-1", "eq2 != +-1", "F != +-1"}
     assert "eq1 != +-1" in reasons
