@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ValidationError
-from .intervals import RealInterval, sqrt_int
 from .intutil import is_squarefree
 from .polynomials import Poly
 
@@ -29,17 +28,6 @@ class ImagQuadField:
         self.omega_re = Fraction(self.omega_trace, 2)
         # Im(omega)^2, exact: d in the non-residue case, d/4 in the residue case
         self.im_omega_sq = Fraction(d, 4) if residue else Fraction(d)
-        self._im_cache: dict[int, tuple[RealInterval, RealInterval]] = {}
-
-    def im_omega(self, prec: int) -> tuple[RealInterval, RealInterval]:
-        """Enclosures of Im(omega) and 1/Im(omega)."""
-        hit = self._im_cache.get(prec)
-        if hit is None:
-            v = sqrt_int(self.d, prec)
-            if self.residue:
-                v = v * Fraction(1, 2)
-            hit = self._im_cache[prec] = (v, v.recip())
-        return hit
 
     def describe(self) -> dict:
         omega = "(1+i*sqrt(d))/2" if self.residue else "i*sqrt(d)"
@@ -56,7 +44,7 @@ class ImagQuadField:
 
 def make_imq(d: int) -> ImagQuadField:
     """Validated Q(i*sqrt(d)); d must be a squarefree positive integer."""
-    if not isinstance(d, int) or d < 1:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValidationError("d must be a positive integer")
     if not is_squarefree(d):
         raise ValidationError(f"d = {d} is not squarefree")

@@ -9,8 +9,12 @@ the way is exact and asserted.
 Real roots of squarefree integer polynomials are isolated with a Sturm chain
 of integer pseudo-remainders (whose last member also certifies that the
 polynomial is squarefree) plus sign bisection, and can be refined on demand
-to any width; refinement bisects integer numerators over a shared
-denominator, so every endpoint stays an exact rational.
+to any width.  Refinement works on integer numerators over a shared
+denominator, so every endpoint stays an exact rational.  It jumps many
+bisection levels at once to the cell that a secant guess picks, checked by
+the signs at the cell's two ends (quadratic interval refinement, J. Abbott,
+ACM Commun. Comput. Algebra 2014), and bisects where a jump misses; either
+way it ends in the cell that plain bisection would reach.
 """
 
 from __future__ import annotations
@@ -298,9 +302,8 @@ def _sign_int(v: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def _sign_at(coeffs: list[int], num: int, den: int, shift: int = 0) -> int:
-    """Sign of the integer polynomial at num/(den*2^shift), for any den > 0."""
-    # acc ends up as (den*2^shift)^deg * p(x), an integer with the sign of p(x)
+def _value_at(coeffs: list[int], num: int, den: int, shift: int = 0) -> int:
+    """(den*2^shift)^deg * p(num/(den*2^shift)): an integer with the sign of p there."""
     acc = 0
     dp = 1
     sh = 0
@@ -308,7 +311,12 @@ def _sign_at(coeffs: list[int], num: int, den: int, shift: int = 0) -> int:
         acc = acc * num + ((c * dp) << sh)
         dp *= den
         sh += shift
-    return _sign_int(acc)
+    return acc
+
+
+def _sign_at(coeffs: list[int], num: int, den: int, shift: int = 0) -> int:
+    """Sign of the integer polynomial at num/(den*2^shift), for any den > 0."""
+    return _sign_int(_value_at(coeffs, num, den, shift))
 
 
 def _primitive(coeffs: list[int]) -> list[int]:
@@ -372,16 +380,23 @@ def _chain_variations_at(chain: list[list[int]], x: Fraction) -> int:
     return _variations([_sign_at(c, x.numerator, x.denominator) for c in chain])
 
 
+# up to this many levels, bisection costs no more evaluations than jumps
+_JUMP_MIN_STEPS = 8
+
+
 class IsolatedRoot:
     """One simple real root of an integer polynomial, refinable on demand.
 
     The endpoints are integer numerators over one shared positive
-    denominator, lo = _lo/q and hi = _hi/q with q = _den * 2^_shift.  A
-    bisection step takes the midpoint (_lo + _hi)/(2q) and adds one to
-    _shift, so it costs integer additions, shifts and one homogenised Horner
-    sum, with no gcd; ``lo`` and ``hi`` read back as reduced Fractions.  For
-    a non-exact root, lo < root < hi and the polynomial changes sign between
-    the endpoints; for an exact (rational) root, lo == hi == root.
+    denominator, lo = _lo/q and hi = _hi/q with q = _den * 2^_shift.
+    Refinement ends in the state that bisection by midpoints (_lo + _hi)/(2q)
+    would reach: checked jumps (``_jump``) cover k bisection levels with
+    O(log k) homogenised Horner sums, and bisection steps finish what a jump
+    leaves when it meets the root at a cell end, so an exact state matches
+    too.  All of it is integer additions, shifts and products, with no gcd;
+    ``lo`` and ``hi`` read back as reduced Fractions.  For a non-exact root,
+    lo < root < hi and the polynomial changes sign between the endpoints;
+    for an exact (rational) root, lo == hi == root.
     """
 
     __slots__ = ("coeffs", "_lo", "_hi", "_den", "_shift", "exact", "_sign_lo")
@@ -409,16 +424,27 @@ class IsolatedRoot:
         return Fraction(self._hi - self._lo, self._den << self._shift)
 
     def refine_to(self, width: Fraction) -> None:
-        """Bisect until hi - lo <= width, or until a midpoint is the root."""
+        """Narrow until hi - lo <= width, ending where bisection would.
+
+        Bisection would take the k steps with gap <= limit * 2^k; the
+        checked jumps cover them, and bisection steps cover whatever the
+        jumps leave, one bit each, until a midpoint is the root.
+        """
         if width <= 0:
             raise ValidationError("refinement width must be positive")
         if self.exact:
             return
+        # a step keeps hi - lo as the numerator and doubles the denominator
+        gap = (self._hi - self._lo) * width.denominator
+        limit = (width.numerator * self._den) << self._shift
+        k = max(gap.bit_length() - limit.bit_length(), 0)
+        if limit << k < gap:
+            k += 1
+        if k > _JUMP_MIN_STEPS:
+            self._jump(k)
+            limit = (width.numerator * self._den) << self._shift
         coeffs, sign_lo, den = self.coeffs, self._sign_lo, self._den
         lo, hi, shift = self._lo, self._hi, self._shift
-        # a step keeps hi - lo as the numerator and doubles the denominator
-        gap = (hi - lo) * width.denominator
-        limit = (width.numerator * den) << shift
         while gap > limit:
             mid = lo + hi
             shift += 1
@@ -432,6 +458,62 @@ class IsolatedRoot:
                 lo, hi = mid, hi << 1
             else:
                 lo, hi = lo << 1, mid
+        self._lo, self._hi, self._shift = lo, hi, shift
+
+    def _jump(self, k: int) -> None:
+        """Advance up to k bisection levels by checked cell jumps.
+
+        A jump of m levels splits [lo, hi] into 2^m cells and picks the cell
+        next to the grid point nearest the secant root of the endpoint
+        values.  It is taken only if the polynomial has the sign of lo at
+        the cell's left end and the opposite sign at its right end; then m
+        doubles, and after a miss it halves.  At m = 1 the pick is the
+        midpoint, a bisection step.  Stops early if a cell endpoint is the
+        root.
+        """
+        coeffs, sign_lo, den = self.coeffs, self._sign_lo, self._den
+        lo, hi, shift = self._lo, self._hi, self._shift
+        gap = hi - lo               # the numerator gap, the same at every level
+        deg = len(coeffs) - 1
+        # homogenised values at the current level; one level down multiplies
+        # an old point's value by 2^deg
+        f_lo = _value_at(coeffs, lo, den, shift)
+        f_hi = _value_at(coeffs, hi, den, shift)
+
+        def value(i: int, step: int) -> int:
+            # the value at grid point i of the 2^step cells of [lo, hi]
+            if i == 0:
+                return f_lo << (deg * step)
+            if i == 1 << step:
+                return f_hi << (deg * step)
+            return _value_at(coeffs, (lo << step) + i * gap, den, shift + step)
+
+        m = 1
+        while k:
+            step = min(m, k)
+            if step == 1:
+                g = 1
+            else:
+                a, b = abs(f_lo), abs(f_hi)
+                g = ((2 * a << step) + a + b) // (2 * (a + b))
+            vg = value(g, step)
+            if vg == 0:
+                break
+            if _sign_int(vg) == sign_lo:
+                i, va, vb = g, vg, value(g + 1, step)
+            else:
+                i, va, vb = g - 1, value(g - 1, step), vg
+            if va == 0 or vb == 0:
+                break
+            if _sign_int(va) == sign_lo and _sign_int(vb) == -sign_lo:
+                lo = (lo << step) + i * gap
+                hi = lo + gap
+                shift += step
+                f_lo, f_hi = va, vb
+                k -= step
+                m = step << 1
+            else:
+                m = step >> 1
         self._lo, self._hi, self._shift = lo, hi, shift
 
     def excludes(self, fr: Fraction) -> bool:

@@ -27,18 +27,13 @@ def test_omega_min_poly():
     assert M2.im_omega_sq == Fraction(7, 4)
 
 
-def test_im_omega_interval():
-    M = make_imq(7)
-    v, rv = M.im_omega(96)
-    sq = v * v
-    assert sq.contains_fraction(Fraction(7, 4))
-    prod = v * rv
-    assert prod.contains_fraction(Fraction(1))
-
-
 def test_make_imq_validation():
     for bad in (0, -3, 12, 18, Fraction(1, 2)):
         with pytest.raises(ValidationError):
+            make_imq(bad)
+    # bool is an int subclass: True would otherwise build Q(i) with d = True
+    for bad in (True, False):
+        with pytest.raises(ValidationError, match="d must be a positive integer"):
             make_imq(bad)
 
 

@@ -433,3 +433,97 @@ def test_root_states_fingerprint():
     assert len(states) == 157
     digest = hashlib.sha256(repr(states).encode()).hexdigest()
     assert digest == "97ac1e5ed03bf9a842484102a56cec81228e43919b0a39fd182ca535b8a48ea9"
+
+
+# -- checked jumps against the integer bisection -------------------------------
+
+
+def _int_state(r: IsolatedRoot):
+    return r._lo, r._hi, r._den, r._shift, r.exact
+
+
+def _bisect_reference(coeffs, state, width):
+    """Oracle for the checked jumps: the integer bisection loop that
+    IsolatedRoot.refine_to ran before it jumped, on (_lo, _hi, _den, _shift,
+    exact).  Returns the same tuple."""
+    lo, hi, den, shift, exact = state
+    if exact:
+        return state
+    sign_lo = polynomials._sign_at(coeffs, lo, den, shift)
+    gap = (hi - lo) * width.denominator
+    limit = (width.numerator * den) << shift
+    while gap > limit:
+        mid = lo + hi
+        shift += 1
+        limit <<= 1
+        s = polynomials._sign_at(coeffs, mid, den, shift)
+        if s == 0:
+            return mid, mid, den, shift, True
+        if s == sign_lo:
+            lo, hi = mid, hi << 1
+        else:
+            lo, hi = lo << 1, mid
+    return lo, hi, den, shift, exact
+
+
+def _as_fractions(state):
+    lo, hi, den, shift, exact = state
+    q = den << shift
+    return Fraction(lo, q), Fraction(hi, q), exact
+
+
+def _jump_fields():
+    yield "a = 1", make_simplest_quartic(1)
+    yield "a = 20", make_simplest_quartic(20)
+    yield "octic", make_field(OCTIC_POLY, IDENTITY4, expected_disc=1957)
+
+
+def test_bisect_reference_matches_fraction_bisection():
+    for name, L in _jump_fields():
+        for r in L.roots:
+            state = _int_state(r)
+            frs = _state(r)
+            for prec in (128, 256, 512, 1024):
+                w = Fraction(1, 1 << prec)
+                state = _bisect_reference(r.coeffs, state, w)
+                frs = _refine_reference(r.coeffs, *frs, w)
+                assert _as_fractions(state) == frs, (name, prec)
+
+
+def test_jumps_match_bisection_chained():
+    # one root refined 128 -> 256 -> ... -> 4096 bits ends every stage in the
+    # exact integer state of the bisection
+    for name, L in _jump_fields():
+        for r in L.roots:
+            state = _int_state(r)
+            for prec in (128, 256, 512, 1024, 2048, 4096):
+                w = Fraction(1, 1 << prec)
+                state = _bisect_reference(r.coeffs, state, w)
+                r.refine_to(w)
+                assert _int_state(r) == state, (name, prec)
+
+
+def test_rational_root_on_a_deep_grid_point():
+    # (2^40 x - 1)(x^2 - 2): the root 2^-40 of [0, 1] is a grid point at level 40;
+    # a jump that meets it at a cell end leaves the last levels to bisection
+    coeffs = [2, -(1 << 41), -1, 1 << 40]
+    start = (0, 1, 1, 0, False)
+    for k in (39, 40, 100, 8192):
+        w = Fraction(1, 1 << k)
+        r = IsolatedRoot(coeffs, Fraction(0), Fraction(1), False)
+        r.refine_to(w)
+        assert _int_state(r) == _bisect_reference(coeffs, start, w), k
+        assert _state(r) == _refine_reference(coeffs, Fraction(0), Fraction(1), False, w), k
+    assert _state(r) == (Fraction(1, 1 << 40), Fraction(1, 1 << 40), True)
+    assert r._shift == 40
+
+
+def test_refinement_to_8192_bits_costs_few_evaluations():
+    # bisection takes about 8,160 steps from the build state; the jumps take
+    # a few dozen evaluations, counted here rather than timed
+    L = make_simplest_quartic(1)
+    for r in L.roots:
+        with mock.patch.object(polynomials, "_value_at", wraps=polynomials._value_at) as evals:
+            r.refine_to(Fraction(1, 1 << 8192))
+        assert r._shift >= 8192 and not r.exact
+        assert evals.call_count <= 64

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import multiprocessing
 
@@ -165,6 +166,14 @@ def test_grid_parallel_matches_serial():
     serial = verify_theorem_cq(a_max=5, d_max=6, box_radius=6, jobs=1)
     parallel = verify_theorem_cq(a_max=5, d_max=6, box_radius=6, jobs=3)
     assert serial == parallel
+
+
+def test_grid_json_identical_across_jobs():
+    # the report is byte for byte the same whether the a-groups run in one
+    # process or in a pool of two workers
+    dumps = [json.dumps(verify_theorem_cq(a_max=4, d_max=10, box_radius=3, jobs=jobs), sort_keys=True)
+             for jobs in (1, 2)]
+    assert dumps[0] == dumps[1]
 
 
 def test_grid_pool_clamped_to_cpu_count(monkeypatch):
