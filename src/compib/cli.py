@@ -50,14 +50,9 @@ def _int_list(text: str) -> tuple[int, ...]:
         )
 
 
-def _precision_cap(args) -> int:
-    return args.precision_cap if args.precision_cap is not None else PREC_CAP
-
-
 def _load_base_field(args):
-    cap = _precision_cap(args)
     if args.a is not None:
-        return make_simplest_quartic(args.a, precision_cap=cap)
+        return make_simplest_quartic(args.a, precision_cap=args.precision_cap)
     try:
         with open(args.field) as fh:
             data = json.load(fh)
@@ -65,7 +60,7 @@ def _load_base_field(args):
         raise ValidationError(f"cannot read field file: {exc}")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"field file is not valid JSON: {exc}")
-    return field_from_dict(data, precision_cap=cap)
+    return field_from_dict(data, precision_cap=args.precision_cap)
 
 
 def _emit_json(args, obj) -> None:
@@ -172,7 +167,7 @@ def _cmd_verify_cq(args) -> int:
         progress = lambda line: print(line, file=sys.stderr)
     rep = verify_theorem_cq(a_max=args.a_max, d_max=args.d_max,
                             box_radius=args.box, jobs=args.jobs,
-                            progress=progress, precision_cap=_precision_cap(args))
+                            progress=progress, precision_cap=args.precision_cap)
     for row in rep["rows"]:
         if row["status"] == "OK":
             _say(args, f"a={row['a']:>2} d={row['d']:>2}  {row['verdict']}"
@@ -186,8 +181,7 @@ def _cmd_verify_cq(args) -> int:
 
 
 def _cmd_d3_search(args) -> int:
-    rep = d3_partial_search(args.a, box_radius=args.box,
-                            precision_cap=_precision_cap(args))
+    rep = d3_partial_search(args.a, box_radius=args.box, precision_cap=args.precision_cap)
     _say(args,
          f"verdict: {rep['verdict']}",
          f"completeness: {rep['completeness']}",
@@ -204,7 +198,7 @@ def _cmd_check_example5(args) -> int:
     checks = []
 
     L = make_field(OCTIC_FIELD_POLY, basis, expected_disc=OCTIC_FIELD_DISC,
-                   precision_cap=_precision_cap(args))
+                   precision_cap=args.precision_cap)
     checks.append(("base field discriminant is 1957", L.disc == OCTIC_FIELD_DISC,
                    f"D_L = {L.disc}"))
 
@@ -252,8 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact monogenity computations in composites of a totally "
                     "real field with an imaginary quadratic field.",
     )
-    parser.add_argument("--precision-cap", type=int, default=None,
-                        help="interval precision ceiling in bits (default 8192)")
+    parser.add_argument("--precision-cap", type=int, default=PREC_CAP,
+                        help=f"interval precision ceiling in bits (default {PREC_CAP})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field-info", help="describe the base field L")

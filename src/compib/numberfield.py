@@ -154,9 +154,8 @@ def _gf_polmul(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
         out.pop()
     return out or [0]
 
-def _gf_polpow_x(e: int, f: list[int], p: int) -> list[int]:
+def _gf_polpow(base: list[int], e: int, f: list[int], p: int) -> list[int]:
     result = [1]
-    base = [0, 1]
     while e:
         if e & 1:
             result = _gf_polmul(result, base, f, p)
@@ -188,29 +187,16 @@ def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a or [0]
 
 def _irreducible_mod_p(f: Poly, p: int) -> bool:
+    # the monic f of degree n is irreducible mod p exactly when it has no
+    # factor of degree k <= n/2, that is gcd(x^(p^k) - x, f) = 1 for each k
     fc = [c % p for c in f.coeffs]
-    if fc[-1] % p == 0:
-        return False
-    n = len(fc) - 1
-    # x^(p^n) == x mod f, and gcd(x^(p^k) - x, f) trivial for k <= n/2
-    xp = _gf_polpow_x(p, fc, p)
-    cur = list(xp)
-    for k in range(1, n // 2 + 1):
-        diff = list(cur)
-        while len(diff) < 2:
-            diff.append(0)
+    cur = [0, 1]
+    for _ in range(f.degree // 2):
+        cur = _gf_polpow(cur, p, fc, p)     # x^(p^(k+1)) = (x^(p^k))^p mod f
+        diff = cur + [0] * (2 - len(cur))
         diff[1] = (diff[1] - 1) % p
-        g = _gf_gcd(fc, diff, p)
-        if len(g) - 1 > 0:
+        if len(_gf_gcd(fc, diff, p)) > 1:
             return False
-        if k < n:
-            nxt = [0]
-            for i, c in enumerate(cur):
-                if c:
-                    term = _gf_polpow_x(p * i, fc, p) if i else [1]
-                    term = [c * v % p for v in term]
-                    nxt = [(x + y) % p for x, y in itertools.zip_longest(nxt, term, fillvalue=0)]
-            cur = nxt
     return True
 
 
@@ -472,10 +458,7 @@ def make_field(poly_coeffs, basis_rows, expected_disc: int | None = None,
     agreement are the verifiable parts of that claim.
     """
     validate_precision_cap(precision_cap)
-    try:
-        f = poly_from_ints(poly_coeffs)
-    except (TypeError, ValueError):
-        raise ValidationError("defining polynomial must have integer coefficients")
+    f = poly_from_ints(poly_coeffs)
     n = f.degree
     if n < 2:
         raise ValidationError("defining polynomial must have degree >= 2")
@@ -518,8 +501,11 @@ def make_field(poly_coeffs, basis_rows, expected_disc: int | None = None,
 
 def field_from_dict(data: dict, precision_cap: int = PREC_CAP) -> NumberField:
     """Field from a JSON-style description {"poly": [...], "basis": [[...]], ...}."""
-    if "poly" not in data or "basis" not in data:
+    if not isinstance(data, dict) or "poly" not in data or "basis" not in data:
         raise ValidationError("field description needs 'poly' and 'basis'")
-    basis = [[Fraction(str(c)) for c in row] for row in data["basis"]]
+    try:
+        basis = [[Fraction(str(c)) for c in row] for row in data["basis"]]
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValidationError("integral basis entries must be integers or fraction strings")
     return make_field(data["poly"], basis, expected_disc=data.get("expected_disc"),
                       precision_cap=precision_cap)

@@ -6,15 +6,16 @@ Sylvester matrix (rows of the first argument first) with Bareiss fraction-free
 elimination, so entries may themselves be polynomials; every division along
 the way is exact and asserted.
 
-Real roots of squarefree integer polynomials are isolated with a Sturm chain
-of integer pseudo-remainders (whose last member also certifies that the
-polynomial is squarefree) plus sign bisection, and can be refined on demand
-to any width.  Refinement works on integer numerators over a shared
-denominator, so every endpoint stays an exact rational.  It jumps many
-bisection levels at once to the cell that a secant guess picks, checked by
-the signs at the cell's two ends (quadratic interval refinement, J. Abbott,
-ACM Commun. Comput. Algebra 2014), and bisects where a jump misses; either
-way it ends in the cell that plain bisection would reach.
+Real roots of squarefree integer polynomials live on one dyadic grid: every
+endpoint is an integer numerator over a power of two, from the Cauchy box
+[-B, B] through isolation and refinement.  Isolation subdivides the box with
+a Sturm chain of integer pseudo-remainders (whose last member also certifies
+that the polynomial is squarefree); a midpoint where the polynomial vanishes
+is an exact root.  Refinement on demand jumps many bisection levels at once
+to the cell that a secant guess picks, checked by the signs at the cell's
+two ends (quadratic interval refinement, J. Abbott, ACM Commun. Comput.
+Algebra 2014), and bisects where a jump misses; either way it ends in the
+cell that plain bisection would reach.
 """
 
 from __future__ import annotations
@@ -182,7 +183,11 @@ class Poly:
 
 
 def poly_from_ints(coeffs) -> Poly:
-    return Poly([int(c) for c in coeffs])
+    """Poly of a list of ints; any other coefficient, bool included, is rejected."""
+    if not isinstance(coeffs, (list, tuple)) or not all(
+            isinstance(c, int) and not isinstance(c, bool) for c in coeffs):
+        raise ValidationError("defining polynomial must have integer coefficients")
+    return Poly(coeffs)
 
 
 def clear_denominators(p: Poly) -> tuple[Poly, int]:
@@ -292,31 +297,26 @@ def cauchy_root_bound(p: Poly) -> int:
     """Integer B with every real root of p strictly inside (-B, B)."""
     if p.degree < 1:
         raise ValidationError("root bound needs degree >= 1")
-    fr = [Fraction(c) for c in p.coeffs]
-    lc = abs(fr[-1])
-    m = max(abs(c) for c in fr[:-1]) if len(fr) > 1 else Fraction(0)
-    return 1 + int(m / lc) + 1
+    return 2 + max(abs(c) for c in p.coeffs[:-1]) // abs(p.lc)
 
 
 def _sign_int(v: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def _value_at(coeffs: list[int], num: int, den: int, shift: int = 0) -> int:
-    """(den*2^shift)^deg * p(num/(den*2^shift)): an integer with the sign of p there."""
+def _value_at(coeffs: list[int], num: int, shift: int) -> int:
+    """2^(shift*deg) * p(num/2^shift): an integer with the sign of p there."""
     acc = 0
-    dp = 1
     sh = 0
     for c in reversed(coeffs):
-        acc = acc * num + ((c * dp) << sh)
-        dp *= den
+        acc = acc * num + (c << sh)
         sh += shift
     return acc
 
 
-def _sign_at(coeffs: list[int], num: int, den: int, shift: int = 0) -> int:
-    """Sign of the integer polynomial at num/(den*2^shift), for any den > 0."""
-    return _sign_int(_value_at(coeffs, num, den, shift))
+def _sign_at(coeffs: list[int], num: int, shift: int) -> int:
+    """Sign of the integer polynomial at num/2^shift."""
+    return _sign_int(_value_at(coeffs, num, shift))
 
 
 def _primitive(coeffs: list[int]) -> list[int]:
@@ -376,10 +376,6 @@ def _variations(signs) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def _chain_variations_at(chain: list[list[int]], x: Fraction) -> int:
-    return _variations([_sign_at(c, x.numerator, x.denominator) for c in chain])
-
-
 # up to this many levels, bisection costs no more evaluations than jumps
 _JUMP_MIN_STEPS = 8
 
@@ -387,41 +383,37 @@ _JUMP_MIN_STEPS = 8
 class IsolatedRoot:
     """One simple real root of an integer polynomial, refinable on demand.
 
-    The endpoints are integer numerators over one shared positive
-    denominator, lo = _lo/q and hi = _hi/q with q = _den * 2^_shift.
-    Refinement ends in the state that bisection by midpoints (_lo + _hi)/(2q)
-    would reach: checked jumps (``_jump``) cover k bisection levels with
-    O(log k) homogenised Horner sums, and bisection steps finish what a jump
-    leaves when it meets the root at a cell end, so an exact state matches
-    too.  All of it is integer additions, shifts and products, with no gcd;
+    The endpoints are integer numerators on the dyadic grid of level
+    _shift: lo = _lo / 2^_shift and hi = _hi / 2^_shift, the grid that
+    ``isolate_real_roots`` subdivides.  Refinement ends in the state that
+    bisection by midpoints (_lo + _hi) / 2^(_shift + 1) would reach:
+    checked jumps (``_jump``) cover k bisection levels with O(log k)
+    homogenised Horner sums, and bisection steps finish what a jump leaves
+    when it meets the root at a cell end, so an exact state matches too.
+    All of it is integer additions, shifts and products, with no gcd;
     ``lo`` and ``hi`` read back as reduced Fractions.  For a non-exact root,
     lo < root < hi and the polynomial changes sign between the endpoints;
     for an exact (rational) root, lo == hi == root.
     """
 
-    __slots__ = ("coeffs", "_lo", "_hi", "_den", "_shift", "exact", "_sign_lo")
+    __slots__ = ("coeffs", "_lo", "_hi", "_shift", "exact", "_sign_lo")
 
-    def __init__(self, coeffs: list[int], lo: Fraction, hi: Fraction, exact: bool):
-        q = math.lcm(lo.denominator, hi.denominator)
-        shift = (q & -q).bit_length() - 1
+    def __init__(self, coeffs: list[int], lo: int, hi: int, shift: int, exact: bool):
         self.coeffs = coeffs
-        self._lo = lo.numerator * (q // lo.denominator)
-        self._hi = hi.numerator * (q // hi.denominator)
-        self._den = q >> shift
-        self._shift = shift
+        self._lo, self._hi, self._shift = lo, hi, shift
         self.exact = exact
-        self._sign_lo = 0 if exact else _sign_at(coeffs, self._lo, self._den, shift)
+        self._sign_lo = 0 if exact else _sign_at(coeffs, lo, shift)
 
     @property
     def lo(self) -> Fraction:
-        return Fraction(self._lo, self._den << self._shift)
+        return Fraction(self._lo, 1 << self._shift)
 
     @property
     def hi(self) -> Fraction:
-        return Fraction(self._hi, self._den << self._shift)
+        return Fraction(self._hi, 1 << self._shift)
 
     def width(self) -> Fraction:
-        return Fraction(self._hi - self._lo, self._den << self._shift)
+        return Fraction(self._hi - self._lo, 1 << self._shift)
 
     def refine_to(self, width: Fraction) -> None:
         """Narrow until hi - lo <= width, ending where bisection would.
@@ -436,20 +428,20 @@ class IsolatedRoot:
             return
         # a step keeps hi - lo as the numerator and doubles the denominator
         gap = (self._hi - self._lo) * width.denominator
-        limit = (width.numerator * self._den) << self._shift
+        limit = width.numerator << self._shift
         k = max(gap.bit_length() - limit.bit_length(), 0)
         if limit << k < gap:
             k += 1
         if k > _JUMP_MIN_STEPS:
             self._jump(k)
-            limit = (width.numerator * self._den) << self._shift
-        coeffs, sign_lo, den = self.coeffs, self._sign_lo, self._den
+            limit = width.numerator << self._shift
+        coeffs, sign_lo = self.coeffs, self._sign_lo
         lo, hi, shift = self._lo, self._hi, self._shift
         while gap > limit:
             mid = lo + hi
             shift += 1
             limit <<= 1
-            s = _sign_at(coeffs, mid, den, shift)
+            s = _sign_at(coeffs, mid, shift)
             if s == 0:
                 lo = hi = mid
                 self.exact = True
@@ -471,14 +463,14 @@ class IsolatedRoot:
         midpoint, a bisection step.  Stops early if a cell endpoint is the
         root.
         """
-        coeffs, sign_lo, den = self.coeffs, self._sign_lo, self._den
+        coeffs, sign_lo = self.coeffs, self._sign_lo
         lo, hi, shift = self._lo, self._hi, self._shift
         gap = hi - lo               # the numerator gap, the same at every level
         deg = len(coeffs) - 1
         # homogenised values at the current level; one level down multiplies
         # an old point's value by 2^deg
-        f_lo = _value_at(coeffs, lo, den, shift)
-        f_hi = _value_at(coeffs, hi, den, shift)
+        f_lo = _value_at(coeffs, lo, shift)
+        f_hi = _value_at(coeffs, hi, shift)
 
         def value(i: int, step: int) -> int:
             # the value at grid point i of the 2^step cells of [lo, hi]
@@ -486,7 +478,7 @@ class IsolatedRoot:
                 return f_lo << (deg * step)
             if i == 1 << step:
                 return f_hi << (deg * step)
-            return _value_at(coeffs, (lo << step) + i * gap, den, shift + step)
+            return _value_at(coeffs, (lo << step) + i * gap, shift + step)
 
         m = 1
         while k:
@@ -516,13 +508,10 @@ class IsolatedRoot:
                 m = step >> 1
         self._lo, self._hi, self._shift = lo, hi, shift
 
-    def excludes(self, fr: Fraction) -> bool:
-        return fr < self.lo or fr > self.hi
-
     def to_interval(self, prec: int) -> RealInterval:
         self.refine_to(Fraction(1, 1 << prec))
-        q = self._den << self._shift
-        return RealInterval((self._lo << prec) // q, -(-(self._hi << prec) // q), prec)
+        return RealInterval((self._lo << prec) >> self._shift,
+                            -((-self._hi << prec) >> self._shift), prec)
 
     def __repr__(self):
         mid = (self.lo + self.hi) / 2
@@ -533,71 +522,45 @@ class IsolatedRoot:
 _NOT_SQUAREFREE = "root isolation requires a squarefree polynomial"
 
 
-def isolate_real_roots(p: Poly, target_width: Fraction = Fraction(1, 1 << 32)) -> list[IsolatedRoot]:
-    """Disjoint enclosures of all real roots of a squarefree polynomial.
+def isolate_real_roots(p: Poly) -> list[IsolatedRoot]:
+    """Disjoint enclosures of all real roots of a squarefree polynomial, sorted.
 
-    Rational roots found along the way collapse to exact points; the
-    remaining enclosures are refined past target_width and until pairwise
-    disjoint and sorted in increasing order.
+    Sturm subdivision of the Cauchy box [-B, B] on the dyadic grid: a cell
+    is [lo, hi] / 2^shift with integer numerators, and carries the chain's
+    sign variations V and the sign of p at both ends.  V(lo) - V(hi) counts
+    the roots in (lo, hi], so a midpoint where p vanishes becomes an exact
+    root in place.  A cell with one root inside and none at either end is
+    an enclosure; a cell with more, or with a root at an end, is split.
     """
     if p.degree < 1:
         raise ValidationError("root isolation needs degree >= 1")
     coeffs = _primitive(list(clear_denominators(p)[0].coeffs))
-    exact_roots: list[Fraction] = []
+    chain = _sturm_chain_int(coeffs)
+    if len(chain[-1]) > 1:
+        raise ValidationError(_NOT_SQUAREFREE)
 
-    # strip a root at zero so bisection never lands on a rational root twice;
-    # p = x*q is squarefree exactly when q is and q(0) != 0
-    if coeffs[0] == 0:
-        if coeffs[1] == 0:
-            raise ValidationError(_NOT_SQUAREFREE)
-        exact_roots.append(Fraction(0))
-        coeffs = coeffs[1:]
+    def at(num: int, shift: int) -> tuple[int, int]:
+        signs = [_sign_at(c, num, shift) for c in chain]
+        return _variations(signs), signs[0]
 
-    while True:
-        restart = False
-        open_roots: list[IsolatedRoot] = []
-        if len(coeffs) - 1 >= 1:
-            chain = _sturm_chain_int(coeffs)
-            if len(chain[-1]) > 1:
-                raise ValidationError(_NOT_SQUAREFREE)
-            bound = Fraction(cauchy_root_bound(Poly(coeffs)))
-            vcache: dict[Fraction, int] = {}
+    bound = cauchy_root_bound(Poly(coeffs))
+    roots = []
+    stack = [(-bound, bound, 0, *at(-bound, 0), *at(bound, 0))]
+    while stack:
+        lo, hi, shift, v_lo, s_lo, v_hi, s_hi = stack.pop()
+        inside = v_lo - v_hi - (s_hi == 0)      # roots strictly between the ends
+        if inside == 0:
+            continue
+        if inside == 1 and s_lo and s_hi:
+            roots.append(IsolatedRoot(coeffs, lo, hi, shift, False))
+            continue
+        mid, shift = lo + hi, shift + 1
+        v_mid, s_mid = at(mid, shift)
+        if s_mid == 0:
+            roots.append(IsolatedRoot(coeffs, mid, mid, shift, True))
+        stack.append((lo << 1, mid, shift, v_lo, s_lo, v_mid, s_mid))
+        stack.append((mid, hi << 1, shift, v_mid, s_mid, v_hi, s_hi))
 
-            def var_at(x: Fraction) -> int:
-                if x not in vcache:
-                    vcache[x] = _chain_variations_at(chain, x)
-                return vcache[x]
-
-            stack = [(-bound, bound)]
-            while stack:
-                a, b = stack.pop()
-                count = var_at(a) - var_at(b)
-                if count == 0:
-                    continue
-                if count == 1:
-                    open_roots.append(IsolatedRoot(coeffs, a, b, False))
-                    continue
-                mid = (a + b) / 2
-                if _sign_at(coeffs, mid.numerator, mid.denominator) == 0:
-                    # rational root hit: peel it off and isolate the rest afresh
-                    # (den*x - num) is primitive, so by Gauss's lemma the
-                    # quotient is integral and primitive, with the same sign
-                    exact_roots.append(mid)
-                    coeffs = list(Poly(coeffs).exact_div(Poly([-mid.numerator, mid.denominator])).coeffs)
-                    restart = True
-                    break
-                stack.append((a, mid))
-                stack.append((mid, b))
-        if not restart:
-            break
-
-    roots = [IsolatedRoot(coeffs or [1], r, r, True) for r in exact_roots]
-    for r in open_roots:
-        r.refine_to(target_width)
-        for ex in exact_roots:
-            while not r.exact and not r.excludes(ex):
-                r.refine_to(r.width() / 4)
-        roots.append(r)
     roots.sort(key=lambda r: r.lo + r.hi)
     for left, right in zip(roots, roots[1:]):
         while max(left.lo, right.lo) <= min(left.hi, right.hi):

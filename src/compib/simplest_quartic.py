@@ -162,6 +162,9 @@ def verify_theorem_cq(a_max: int = 20, d_max: int = 30, box_radius: int = 20,
         import multiprocessing  # here, so serial callers skip loading the pool (about 0.8 MB RSS)
         with multiprocessing.Pool(min(jobs, len(tasks), os.cpu_count() or 1)) as pool:
             grouped = pool.map(_solve_a_group, tasks)
+        if progress is not None:
+            for a, rows, secs in sorted(grouped):
+                progress(f"a = {a}: {len(rows)} cells in {secs:.1f}s")
     else:
         grouped = []
         for t in tasks:
@@ -169,9 +172,6 @@ def verify_theorem_cq(a_max: int = 20, d_max: int = 30, box_radius: int = 20,
             if progress is not None:
                 a, rows, secs = grouped[-1]
                 progress(f"a = {a}: {len(rows)} cells in {secs:.1f}s")
-    if progress is not None and jobs > 1:
-        for a, rows, secs in sorted(grouped):
-            progress(f"a = {a}: {len(rows)} cells in {secs:.1f}s")
     rows = [row for _, group, _ in sorted(grouped) for row in group]
     ran = [r for r in rows if r["status"] == "OK"]
     verdicts: dict[str, int] = {}

@@ -133,6 +133,29 @@ def test_field_file_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["field-info", "--field", str(bad)]) == 3
+    bad.write_text('"poly basis"')     # valid JSON, but not an object
+    assert main(["field-info", "--field", str(bad)]) == 3
+
+
+def _identity_basis(entry="1"):
+    # the degree-4 identity basis as strings, with entry at row 1, column 1
+    rows = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    rows[1][1] = entry
+    return rows
+
+
+@pytest.mark.parametrize("poly,basis", [
+    ([1.9, -1, -4, 0, 1], _identity_basis()),          # int() would read 1
+    ([True, -1, -4, "0", 1], _identity_basis()),       # bool and str coefficients
+    ([1, -1, -4, 0, 1], _identity_basis("x")),
+    ([1, -1, -4, 0, 1], _identity_basis("1/0")),
+], ids=["float_coefficient", "bool_and_str_coefficients", "basis_x", "basis_1_over_0"])
+def test_field_file_bad_entries_exit_3(capsys, tmp_path, poly, basis):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"poly": poly, "basis": basis}))
+    code, _, err = run(capsys, "field-info", "--field", str(path))
+    assert code == 3
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_timings_go_to_stderr(capsys, tmp_path):
@@ -145,3 +168,12 @@ def test_timings_go_to_stderr(capsys, tmp_path):
     assert "cells in" not in p.read_text()
     rep = json.loads(p.read_text())
     assert all("ms" not in r for r in rep["rows"] if r["status"] == "OK")
+
+
+def test_timings_one_line_per_group_with_jobs(capsys):
+    # one a-group runs serially even with --jobs 2, and reports its time once
+    code, _, err = run(capsys, "verify-cq", "--a-max", "1", "--d-max", "2", "--box", "2",
+                       "--jobs", "2", "--timings")
+    assert code == 0
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("a = 1: ")

@@ -8,7 +8,10 @@ subfield zeros inside its box.  ``L2_field.json`` is the ``poly`` and
 the same field as ``--a 2``.  The ``field_info`` cases cover a basis
 denominator of 4 (``a = 8``), an odd ``a`` and the octic example's base field
 x^4 - 4x^2 - x + 1 (``octic_field.json``); their ``real_roots`` and ``basis``
-strings pin root isolation and the basis.
+strings pin root isolation and the basis.  ``field_info_quintic`` reads the
+quintic x^5 - 5x^3 + 4x - 1 with the identity basis (``quintic_field.json``):
+degree-5 root strings, and irreducibility shown mod p rather than by the
+quartic factor search.
 """
 
 import os
@@ -25,6 +28,8 @@ CASES = [
     ("field_info_a1", ["field-info", "--a", "1"]),
     ("field_info_octic",
      ["field-info", "--field", os.path.join(GOLDEN, "octic_field.json")]),
+    ("field_info_quintic",
+     ["field-info", "--field", os.path.join(GOLDEN, "quintic_field.json")]),
     ("composite_index_a2_d7",
      ["composite-index", "--a", "2", "--d", "7", "--x", "0,1,0", "--y", "1,0,0,0"]),
     ("solve_a2_d7_box8", ["solve", "--a", "2", "--d", "7", "--box", "8"]),

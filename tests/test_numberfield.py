@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compib.errors import ValidationError
-from compib.numberfield import _scaled_inverse, _unclosed_product, field_from_dict, make_field
+from compib.numberfield import (_irreducible_mod_p, _scaled_inverse, _unclosed_product,
+                                field_from_dict, make_field)
 from compib.polynomials import Poly, discriminant, poly_mod_monic
 from compib.simplest_quartic import family_poly_coeffs, make_simplest_quartic
 
@@ -293,3 +294,14 @@ def test_quintic_field():
     L = make_field(QUINTIC_POLY, basis, expected_disc=disc)
     assert L.n == 5
     assert L.element_index((1, 0, 0, 0)) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(min_value=2, max_value=8).flatmap(
+           lambda n: st.lists(st.integers(min_value=-20, max_value=20), min_size=n, max_size=n)),
+       st.sampled_from([2, 3, 5, 7, 11, 13]))
+def test_irreducible_mod_p_matches_sympy(low, p):
+    # monic f of degree 2..8: the distinct-degree test against sympy's factoring
+    f = Poly(low + [1])
+    expect = sympy.Poly(list(reversed(f.coeffs)), X, modulus=p).is_irreducible
+    assert _irreducible_mod_p(f, p) == expect
