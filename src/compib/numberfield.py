@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import InternalInvariantError, ValidationError
 from .intervals import (PREC_CAP, PREC_START, RealInterval, escalate, int_combination,
                         sqrt_int)
-from .intutil import exact_sqrt
+from .intutil import exact_sqrt, floor_sqrt_fraction
 from .polynomials import (
     IsolatedRoot,
     Poly,
@@ -251,8 +251,11 @@ class NumberField:
         self.roots = roots
         self.precision_cap = precision_cap
         self._emb: dict[int, _Embeddings] = {}
-        # 2^e, e = n(n-1)/2: the largest right-hand side of any index-form bound
-        self._index_limit = 2 ** (self.n * (self.n - 1) // 2)
+        # largest index bound a composite over L asks for: 1, the real-part
+        # floor 2^e/sqrt(D_L) and the d = 3 y-part floor (4/3)^(e/2)
+        e = self.n * (self.n - 1) // 2
+        self._index_limit = max(1, floor_sqrt_fraction(Fraction(4**e, disc)),
+                                floor_sqrt_fraction(Fraction(4**e, 3**e)))
         self._sweep_cache: dict[int, tuple] = {}
         # solver memos, exact per field: y1 solutions by y-tail, and
         # validated generator tables by their input vectors
@@ -365,7 +368,7 @@ class NumberField:
                 yield vec
 
     def _small_index_table(self, radius: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Every box vector with |index| <= 2^e, e = n(n-1)/2, as sorted (xs, index).
+        """Every box vector with |index| <= the field's index limit, as sorted (xs, index).
 
         One sweep per radius serves every query.  One representative per
         sign orbit (first nonzero coordinate positive); each survivor of the
@@ -385,9 +388,9 @@ class NumberField:
         return out
 
     def enumerate_bounded_index(self, bound: int, radius: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """All coordinate vectors in the box with 1 <= index <= bound <= 2^e, sorted."""
+        """All coordinate vectors in the box with 1 <= index <= bound <= index limit, sorted."""
         if bound > self._index_limit:
-            raise ValidationError(f"index bound {bound} exceeds 2^e for degree {self.n}")
+            raise ValidationError(f"index bound {bound} exceeds the limit {self._index_limit}")
         return tuple((xs, k) for xs, k in self._small_index_table(radius) if 1 <= k <= bound)
 
     def zero_index_vectors(self, radius: int) -> tuple[tuple[int, ...], ...]:
@@ -507,5 +510,9 @@ def field_from_dict(data: dict, precision_cap: int = PREC_CAP) -> NumberField:
         basis = [[Fraction(str(c)) for c in row] for row in data["basis"]]
     except (TypeError, ValueError, ZeroDivisionError):
         raise ValidationError("integral basis entries must be integers or fraction strings")
-    return make_field(data["poly"], basis, expected_disc=data.get("expected_disc"),
+    expected_disc = data.get("expected_disc")
+    if expected_disc is not None and (not isinstance(expected_disc, int)
+                                      or isinstance(expected_disc, bool)):
+        raise ValidationError(f"expected_disc must be an integer, not {expected_disc!r}")
+    return make_field(data["poly"], basis, expected_disc=expected_disc,
                       precision_cap=precision_cap)

@@ -198,10 +198,9 @@ def verify_theorem_cq(a_max: int = 20, d_max: int = 30, box_radius: int = 20,
 def d3_partial_search(a: int, box_radius: int = 10, precision_cap: int = PREC_CAP) -> dict:
     """Bounded search in the ramified case d = 3 (never conclusive beyond the box).
 
-    The index bounds only limit the z = 2x + y part to index at most 64 and
-    the y part to index at most 2, so candidates are enumerated inside the
-    coordinate box and the report stays BOX_LIMITED; a negative search is
-    INCONCLUSIVE rather than NOT_MONOGENIC.
+    The y part has index at most 2, and its units of index 2 are swept only
+    inside the coordinate box, so the report stays BOX_LIMITED and a negative
+    search is INCONCLUSIVE rather than NOT_MONOGENIC.
     """
     validate_box_radius(box_radius)
     validate_precision_cap(precision_cap)

@@ -40,20 +40,21 @@ proper divisor of n.  QED
 
 This covers every prime n and every n <= 7, so every quartic cell with d
 not 1 or 3 is NOT_MONOGENIC and COMPLETE without a box, a candidate or a
-generator table.  The other cells fall into three regimes:
+generator table.  Every other cell, in any regime, takes one pipeline:
 
-  NONRES_D1    d = 1:     the real-part bound makes I_L(x) = 0; y is 0, a
-                          generator of L or a subfield zero, with P(y)^2 <= 1.
-  RES_D3       d = 3:     bounded box search over z = 2x + y and y, with the
-                          paper's two bounds only.
-  NONRES_DGT1, RES_DGT3   d >= 2 when n has a proper even divisor >= 4:
-                          x (or z) and y are filtered by both new bounds.
+  x-part (z = 2x + y for residue d): 0, the subfield zeros and the box
+      vectors of index 1 to the floor of the real-part bound;
+  y-part: 0, the subfield zeros, and the generators of L when the y-bound's
+      floor is 1, or the box vectors of index 1 to that floor when it is at
+      least 2 (d = 3 with n >= 4); every y must pass the cross-sum bound.
 
-A vanishing index form means the element lies in a proper subfield; for
-prime n that forces the zero vector, while for composite n the nonzero
-solutions are swept inside the coordinate box and reported as a
-completeness caveat.  Candidates surviving the case analysis are tested
-through the exact factor chain (eq1, eq2, F) and the exact index.
+A vanishing index form means the element lies in a proper subfield, which
+for prime n forces the zero vector; for composite n the subfield zeros are
+swept inside the box.  Candidates are tested through the exact factors
+(eq1, eq2, F) and the exact index.  The report is BOX_LIMITED when a pool
+came from the box: pib_source="box", composite n, a real-part floor of at
+least 1, or a y-floor of at least 2; with no generator found, a y-floor of
+at least 2 makes it INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -304,7 +305,12 @@ def _signed(vectors) -> list[tuple[int, ...]]:
 def _validated_pib(L: NumberField, vectors) -> tuple[tuple[int, ...], ...]:
     """Sign-orbit representatives of the supplied generators, each proved to
     have index 1; the table is memoised on L by the input vectors."""
-    vectors = tuple(tuple(int(c) for c in v) for v in vectors)
+    try:
+        vectors = tuple(tuple(v) for v in vectors)
+    except TypeError:
+        raise ValidationError("generator vectors must be sequences of integers")
+    if not all(isinstance(c, int) and not isinstance(c, bool) for v in vectors for c in v):
+        raise ValidationError("generator vector coordinates must be integers")
     hit = L._pib_cache.get(vectors)
     if hit is not None:
         return hit
@@ -365,7 +371,10 @@ def solve(K: CompositeField, pib_source="box", box_radius: int = 20,
     regime = bounds.regime
     radius = box_radius
 
-    pib_explicit = not (isinstance(pib_source, str) and pib_source == "box")
+    if isinstance(pib_source, str) and pib_source != "box":
+        raise ValidationError("pib_source must be 'box' or a sequence of vectors, "
+                              f"not {pib_source!r}")
+    pib_explicit = pib_source != "box"
     if pib_explicit:
         pib = _validated_pib(L, pib_source)
 
@@ -412,25 +421,23 @@ def solve(K: CompositeField, pib_source="box", box_radius: int = 20,
     if bounds.forces_zero_y:
         assumptions.append("the y-part bound is below 1, forcing the y-part index form to vanish")
 
-    # x-parts (z = 2x + y in the residue case) and y-parts: 0, the subfield
-    # zeros, and the nonzero indices each bound allows
-    if regime == RES_D3:
-        # the paper's two bounds only
-        real_limit, cross_sum_sq = bounds.bound_main, None
-        y_units = tuple(v for v, _ in L.enumerate_bounded_index(bounds.bound_y_floor, radius))
+    # x-parts (z = 2x + y for residue d) and y-parts: 0, the subfield zeros and
+    # the indices each bound allows; every y must pass the cross-sum bound
+    real_limit, y_limit = bounds.bound_real_floor, bounds.bound_y_floor
+    assumptions.append(f"{_f_bounds_text(bounds)} filter the candidates")
+    if real_limit:
         assumptions.append(
-            f"elements of index up to {bounds.bound_main} (z-part) and up to "
-            f"{bounds.bound_y_floor} (y-part) enumerated only inside the box |x_i| <= {radius}"
+            f"z-part candidates of index 1 to {real_limit} swept only inside the box "
+            f"|z_i| <= {radius}"
+        )
+    if y_limit >= 2:
+        y_units = tuple(v for v, _ in L.enumerate_bounded_index(y_limit, radius))
+        assumptions.append(
+            f"y-part candidates of index 1 to {y_limit} swept only inside the box "
+            f"|y_i| <= {radius}"
         )
     else:
-        real_limit, cross_sum_sq = bounds.bound_real_floor, bounds.bound_y_sq
-        y_units = () if bounds.forces_zero_y else pib
-        assumptions.append(f"{_f_bounds_text(bounds)} filter the candidates")
-        if real_limit:
-            assumptions.append(
-                f"z-part candidates of index 1 to {real_limit} swept only inside the box "
-                f"|z_i| <= {radius}"
-            )
+        y_units = pib if y_limit else ()
     zero_vec = (0,) * (n - 1)
     y_tails = [zero_vec, *_signed(y_units), *_signed(zero_idx)]
     real_units = L.enumerate_bounded_index(real_limit, radius) if real_limit else ()
@@ -449,7 +456,7 @@ def solve(K: CompositeField, pib_source="box", box_radius: int = 20,
             continue
         for y1 in solve_norm_unit_y1(L, ytail):
             ys = (y1, *ytail)
-            if cross_sum_sq is not None and L.cross_sum_square(ys) > cross_sum_sq:
+            if L.cross_sum_square(ys) > bounds.bound_y_sq:
                 continue
             for xs_tail in xs_tails:
                 candidates.add(_canonical_candidate(xs_tail, ys))
@@ -464,14 +471,12 @@ def solve(K: CompositeField, pib_source="box", box_radius: int = 20,
                                         trace.f_value, trace.index))
 
     # composite n: the zero sweep is box-limited whether or not it found anything
-    if regime == RES_D3 or not pib_explicit or not is_prime(n):
-        completeness = BOX_LIMITED
-    else:
-        completeness = COMPLETE
+    box_limited = not pib_explicit or not is_prime(n) or real_limit or y_limit >= 2
+    completeness = BOX_LIMITED if box_limited else COMPLETE
 
     if generators:
         verdict = MONOGENIC
-    elif regime == RES_D3:
+    elif y_limit >= 2:
         verdict = INCONCLUSIVE
     else:
         verdict = NOT_MONOGENIC

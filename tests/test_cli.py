@@ -158,6 +158,16 @@ def test_field_file_bad_entries_exit_3(capsys, tmp_path, poly, basis):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("disc", ["1957", 1957.0, True], ids=["string", "float", "bool"])
+def test_field_file_expected_disc_must_be_int(capsys, tmp_path, disc):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"poly": [1, -1, -4, 0, 1], "basis": _identity_basis(),
+                                "expected_disc": disc}))
+    code, _, err = run(capsys, "field-info", "--field", str(path))
+    assert code == 3
+    assert err.startswith("error: expected_disc must be an integer")
+
+
 def test_timings_go_to_stderr(capsys, tmp_path):
     p = tmp_path / "cq.json"
     code, out, err = run(capsys, "verify-cq", "--a-max", "1", "--d-max", "2",

@@ -26,6 +26,23 @@ from compib.solver import (_canonical_candidate, _signed, _validated_pib, solve_
 from conftest import IDENTITY4, OCTIC_POLY
 
 
+@functools.lru_cache(maxsize=None)
+def _exact_index_pool(L, bound, radius):
+    """Canonical box vectors with 1 <= index <= bound, by exact index.
+
+    The library sweeps only up to the largest bound the new rule uses, so
+    the old z-pool up to 2^e is built here.  An interval enclosure of the
+    index form skips only the vectors whose index is certainly above bound.
+    """
+    out = []
+    for xs in L._canonical_box(radius):
+        iv = L.index_form_interval(xs, 128)
+        far = bound << iv.prec
+        if iv.lo <= far and iv.hi >= -far and 1 <= L.element_index(xs) <= bound:
+            out.append(xs)
+    return tuple(out)
+
+
 def old_candidates(K, pib_source, radius):
     """Candidate set (x-tail, y) of the eq1-bounds-only loop, one per sign orbit."""
     L, n = K.L, K.n
@@ -43,8 +60,7 @@ def old_candidates(K, pib_source, radius):
         y_units = pib
     y_tails = [zero_vec, *_signed(y_units), *_signed(zero_idx)]
     x_units = [zero_vec, *_signed(pib), *_signed(zero_idx)]
-    z_pool = [zero_vec, *_signed(v for v, _ in L.enumerate_bounded_index(b.bound_main, radius)),
-              *_signed(zero_idx)]
+    z_pool = [zero_vec, *_signed(_exact_index_pool(L, b.bound_main, radius)), *_signed(zero_idx)]
     out = set()
     for ytail in y_tails:
         if not K.M.residue or (d_gt3 and ytail == zero_vec):
@@ -121,9 +137,8 @@ def test_f_bounds_on_random_elements(label, d, xs, ys):
 
 
 def test_old_candidates_fail_a_new_bound():
-    # a <= 6 at box 8: where the theorem applies, every old candidate fails one of
-    # the F bounds; at d = 1 the new candidates are the old ones that pass both;
-    # d = 3 keeps the old loop
+    # a <= 6 at box 8: at every d the new candidates are the old ones that pass
+    # both F bounds, and away from d = 1 none passes
     checked = 0
     for a in MEMBERS:
         if a > 6:
@@ -135,9 +150,6 @@ def test_old_candidates_fail_a_new_bound():
             K = make_composite(L, make_imq(d))
             new = {(t.xs_tail, t.ys) for t in solve(K, pib_source=pib, box_radius=8).traces}
             old = old_candidates(K, pib, 8)
-            if d == 3:
-                assert new == old
-                continue
             passing = set()
             for xs_tail, ys in old:
                 held = bounds_hold(K, (0, *xs_tail), ys)
@@ -183,6 +195,8 @@ def test_degree_8_base_field_stays_a_search():
     # n = 8 has the proper divisor 4, so the theorem does not apply: the subfield
     # zeros are swept, and the F bounds filter what the sweep finds
     L = make_field(CYCLO17_POLY, CYCLO17_BASIS, expected_disc=17**7)
+    # the sweep keeps indices up to floor(2^28 / sqrt(17^7)), the real-part floor at d = 3
+    assert L._index_limit == 13251
     for d in (7, 2):
         r = solve(make_composite(L, make_imq(d)), box_radius=1, collect_traces=False)
         assert (r.verdict, r.completeness) == ("NOT_MONOGENIC", "BOX_LIMITED")

@@ -11,7 +11,8 @@ x^4 - 4x^2 - x + 1 (``octic_field.json``); their ``real_roots`` and ``basis``
 strings pin root isolation and the basis.  ``field_info_quintic`` reads the
 quintic x^5 - 5x^3 + 4x - 1 with the identity basis (``quintic_field.json``):
 degree-5 root strings, and irreducibility shown mod p rather than by the
-quartic factor search.
+quartic factor search.  ``solve_octic_field_d3_box4`` is the case at d = 3
+that still tests candidates after the F bounds.
 """
 
 import os
@@ -35,6 +36,8 @@ CASES = [
     ("solve_a2_d7_box8", ["solve", "--a", "2", "--d", "7", "--box", "8"]),
     ("solve_field_L2_d7_box4",
      ["solve", "--field", os.path.join(GOLDEN, "L2_field.json"), "--d", "7", "--box", "4"]),
+    ("solve_octic_field_d3_box4",
+     ["solve", "--field", os.path.join(GOLDEN, "octic_field.json"), "--d", "3", "--box", "4"]),
     ("d3_search_a2_box4", ["d3-search", "--a", "2", "--box", "4"]),
     ("verify_cq_a2_d10_box5", ["verify-cq", "--a-max", "2", "--d-max", "10", "--box", "5"]),
     ("check_example5", ["check-example5"]),

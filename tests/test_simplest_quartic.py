@@ -8,6 +8,7 @@ import sympy
 
 from compib import simplest_quartic
 from compib.errors import ValidationError
+from compib.intutil import odd_square_free
 from compib.polynomials import Poly, discriminant, isolate_real_roots
 from compib.simplest_quartic import (OLAJOS_A2, OLAJOS_A4, d3_partial_search,
                                      family_discriminant, family_poly_coeffs,
@@ -120,14 +121,25 @@ def _numeric_index_oracle(a, radius, bound):
     return hits
 
 
+def test_index_limit_is_two_for_the_family(octic_L):
+    # max(1, floor(2^6 / sqrt(D_L)), floor((4/3)^3)): D_L > 4096 except at a = 2, 4,
+    # where 2^6 / sqrt(D_L) is below 2, so the d = 3 y-part floor 2 is the largest;
+    # the same holds for the octic example's base field, D_L = 1957
+    assert octic_L._index_limit == 2
+    for a in range(1, 21):
+        if a != 3 and odd_square_free(a * a + 16):
+            assert make_simplest_quartic(a)._index_limit == 2
+
+
 def test_bounded_enumeration_against_numeric_oracle(fam1):
-    oracle = _numeric_index_oracle(1, 5, 64)
+    limit = fam1._index_limit
+    oracle = _numeric_index_oracle(1, 5, limit)
     assert fam1.zero_index_vectors(5) == tuple(sorted(v for v, k in oracle if k == 0))
-    for bound in (1, 2, 64):
+    for bound in range(1, limit + 1):
         got = fam1.enumerate_bounded_index(bound, 5)
         assert got == tuple(sorted((v, k) for v, k in oracle if 1 <= k <= bound))
-    with pytest.raises(ValidationError):
-        fam1.enumerate_bounded_index(65, 5)
+    with pytest.raises(ValidationError, match="exceeds the limit"):
+        fam1.enumerate_bounded_index(limit + 1, 5)
 
 
 def test_one_sweep_serves_every_query(monkeypatch):
@@ -141,8 +153,10 @@ def test_one_sweep_serves_every_query(monkeypatch):
 
     monkeypatch.setattr(L, "_certified_index_value", counted)
     L.zero_index_vectors(3)
-    L.enumerate_bounded_index(64, 3)
+    L.enumerate_bounded_index(L._index_limit, 3)
     L.enumerate_bounded_index(1, 3)
+    with pytest.raises(ValidationError, match="exceeds the limit"):
+        L.enumerate_bounded_index(L._index_limit + 1, 3)
     # one evaluation per canonical vector of the 7^3 box: (7^3 - 1) / 2
     assert len(calls) == len(set(calls)) == 171
 

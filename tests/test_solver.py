@@ -94,12 +94,12 @@ def test_norm_unit_y1_brute_force(octic_L, fam1):
 @pytest.mark.parametrize("base, d, regime, candidates, verdict, completeness", [
     ("octic", 1, "NONRES_D1", 4, "MONOGENIC", "BOX_LIMITED"),
     ("octic", 2, "NONRES_DGT1", 0, "NOT_MONOGENIC", "COMPLETE"),
-    ("octic", 3, "RES_D3", 207, "INCONCLUSIVE", "BOX_LIMITED"),
+    ("octic", 3, "RES_D3", 12, "INCONCLUSIVE", "BOX_LIMITED"),
     ("octic", 7, "RES_DGT3", 0, "NOT_MONOGENIC", "COMPLETE"),
-    ("fam2", 3, "RES_D3", 173, "INCONCLUSIVE", "BOX_LIMITED"),
+    ("fam2", 3, "RES_D3", 0, "INCONCLUSIVE", "BOX_LIMITED"),
     ("fam2", 7, "RES_DGT3", 0, "NOT_MONOGENIC", "COMPLETE"),
     ("quadratic", 1, "NONRES_D1", 2, "MONOGENIC", "COMPLETE"),
-    ("quadratic", 3, "RES_D3", 11, "INCONCLUSIVE", "BOX_LIMITED"),
+    ("quadratic", 3, "RES_D3", 0, "NOT_MONOGENIC", "COMPLETE"),
 ])
 def test_regime_candidate_sets(request, base, d, regime, candidates, verdict, completeness):
     # octic and fam2 at box 6, the quadratic field Q(sqrt 5) at box 8
@@ -113,6 +113,16 @@ def test_regime_candidate_sets(request, base, d, regime, candidates, verdict, co
               collect_traces=False)
     assert (r.regime, r.candidates_tested, r.verdict, r.completeness) == (
         regime, candidates, verdict, completeness)
+
+
+def test_sqrt5_sqrt_minus3_has_no_generator_in_a_box():
+    # the COMPLETE label above: no element of Q(sqrt 5, sqrt -3) with x1 = 0 and
+    # coordinates at most 6 in absolute value has index 1
+    L = make_field([-1, -1, 1], ((1, 0), (0, 1)), expected_disc=5)
+    K = make_composite(L, make_imq(3))
+    rng = range(-6, 7)
+    assert not any(K.composite_index((0, x2), (y1, y2)) == 1
+                   for x2 in rng for y1 in rng for y2 in rng)
 
 
 def test_octic_composite_is_monogenic(K_octic):
@@ -176,6 +186,10 @@ def test_pib_source_validation(fam2):
         solve(K, pib_source=[(1, 0)])
     with pytest.raises(ValidationError):
         solve(K, box_radius=0)
+    # only "box" or integer vectors: no bare ValueError, and no silent int()
+    for bad in ("boxes", "", [(4.9, 2, -1)], [(0, True, 0)], [("4", 2, -1)], [4], 5):
+        with pytest.raises(ValidationError):
+            solve(K, pib_source=bad)
 
 
 def test_box_radius_must_be_a_positive_int(fam2):
