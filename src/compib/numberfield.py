@@ -5,7 +5,13 @@ real) together with an integral basis given as rational rows in the power
 basis, first row equal to 1.  Construction validates irreducibility, total
 realness, ring closure of the basis, and the discriminant; the returned
 ``NumberField`` then offers exact characteristic polynomials, norms, and
-index computations, plus certified-interval sweeps over coordinate boxes.
+index computations, plus sweeps over coordinate boxes.
+
+A box sweep walks the box line by line along the last coordinate.  The
+difference forms of the index form are interval enclosures, built once per
+line and stepped by exact interval additions; their product only excludes
+the vectors whose index is certainly above the field's index limit, and
+every other vector's index is computed exactly.
 
 Indices of elements are computed through an integer-scaled resultant: with
 D the denominator of alpha's power coordinates, R(s) = Res_x(f, s - D*h(x))
@@ -15,13 +21,14 @@ disc(char_alpha) = disc(R) / D^(n(n-1)) exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import InternalInvariantError, ValidationError
-from .intervals import (PREC_CAP, PREC_START, RealInterval, escalate, int_combination,
-                        sqrt_int)
+from .intervals import PREC_CAP, PREC_START, RealInterval, int_combination, sqrt_int
 from .intutil import exact_sqrt, floor_sqrt_fraction
 from .polynomials import (
     IsolatedRoot,
@@ -353,42 +360,52 @@ class NumberField:
             prod = prod * int_combination(diffs, xs)
         return prod
 
-    def _certified_index_value(self, xs) -> int:
-        def task(prec):
-            return self.index_form_interval(xs, prec).certify_integer(must=True)
-
-        return escalate(task, start=PREC_START, cap=self.precision_cap)
-
     # -- box sweeps ------------------------------------------------------------
-
-    def _canonical_box(self, radius: int):
-        for vec in itertools.product(range(-radius, radius + 1), repeat=self.n - 1):
-            lead = next((v for v in vec if v != 0), None)
-            if lead is not None and lead > 0:
-                yield vec
 
     def _small_index_table(self, radius: int) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Every box vector with |index| <= the field's index limit, as sorted (xs, index).
 
-        One sweep per radius serves every query.  One representative per
-        sign orbit (first nonzero coordinate positive); each survivor of the
-        interval prefilter is confirmed with the exact index.
+        One sweep per radius serves every query.  The box holds one vector
+        per sign orbit (first nonzero coordinate positive), walked as lines
+        along the last coordinate: a prefix whose first nonzero entry is
+        positive runs t = -radius..radius, the zero prefix t = 1..radius.
+        Each difference form is built once per line and then stepped by one
+        exact interval addition of its last-coordinate difference.  Their
+        product P encloses I_L * sqrt(D_L), so a vector whose P^2 is
+        certainly above limit^2 * D_L is skipped; the interval only excludes,
+        and every other vector gets its exact ``element_index``.
         """
+        validate_box_radius(radius)
         hit = self._sweep_cache.get(radius)
         if hit is not None:
             return hit
+        emb = self.embeddings(PREC_START)
+        steps = [d[-1] for d in emb.diffs]
+        limit = self._index_limit
+        ceiling = (limit * limit * self.disc) << PREC_START
         found = []
-        for xs in self._canonical_box(radius):
-            k = abs(self._certified_index_value(xs))
-            if k <= self._index_limit:
-                if self.element_index(xs) != k:
-                    raise InternalInvariantError("certified index disagrees with exact index")
-                found.append((xs, k))
-        out = self._sweep_cache[radius] = tuple(sorted(found))
+        for prefix in itertools.product(range(-radius, radius + 1), repeat=self.n - 2):
+            lead = next((v for v in prefix if v), 0)
+            if lead < 0:
+                continue
+            start = -radius if lead else 1
+            forms = [int_combination(d, (*prefix, start)) for d in emb.diffs]
+            for t in range(start, radius + 1):
+                prod = functools.reduce(operator.mul, forms)
+                if (prod * prod).lo <= ceiling:
+                    xs = (*prefix, t)
+                    k = self.element_index(xs)
+                    if k <= limit:
+                        found.append((xs, k))
+                forms = list(map(operator.add, forms, steps))
+        # prefixes and t both ascend, so the vectors come in sorted order
+        out = self._sweep_cache[radius] = tuple(found)
         return out
 
     def enumerate_bounded_index(self, bound: int, radius: int) -> tuple[tuple[tuple[int, ...], int], ...]:
         """All coordinate vectors in the box with 1 <= index <= bound <= index limit, sorted."""
+        if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
+            raise ValidationError("index bound must be a positive integer")
         if bound > self._index_limit:
             raise ValidationError(f"index bound {bound} exceeds the limit {self._index_limit}")
         return tuple((xs, k) for xs, k in self._small_index_table(radius) if 1 <= k <= bound)
@@ -430,6 +447,11 @@ def _unclosed_product(f: Poly, scaled: list[list[int]], inv: list[list[int]],
             if any(sum(c * row[k] for c, row in zip(prod, inv)) % modulus for k in range(n)):
                 return i, j
     return None
+
+
+def validate_box_radius(box_radius) -> None:
+    if not isinstance(box_radius, int) or isinstance(box_radius, bool) or box_radius < 1:
+        raise ValidationError("box radius must be a positive integer")
 
 
 def validate_precision_cap(precision_cap) -> None:

@@ -21,8 +21,8 @@ from .errors import ValidationError
 from .imquad import make_imq
 from .intervals import PREC_CAP
 from .intutil import is_squarefree, odd_square_free, v2
-from .numberfield import NumberField, make_field, validate_precision_cap
-from .solver import solve, validate_box_radius
+from .numberfield import NumberField, make_field, validate_box_radius, validate_precision_cap
+from .solver import solve
 
 # Generators of power integral bases, as coordinates (x, y, z) in the
 # non-constant integral basis elements; complete up to sign and translation.

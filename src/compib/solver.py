@@ -67,7 +67,7 @@ from .composite import CompositeField
 from .errors import InternalInvariantError, ValidationError
 from .intervals import int_combination
 from .intutil import floor_sqrt_fraction, is_prime
-from .numberfield import NumberField
+from .numberfield import NumberField, validate_box_radius
 from .polynomials import Poly
 
 NONRES_D1 = "NONRES_D1"
@@ -344,11 +344,6 @@ def _test_candidate(K: CompositeField, xs_tail, ys) -> CandidateTrace:
     if not all(checks.values()):
         raise InternalInvariantError("generator violates the index-form bounds")
     return CandidateTrace(xs_tail, ys, eq1, eq2, f_value, index, True, "generator")
-
-
-def validate_box_radius(box_radius) -> None:
-    if not isinstance(box_radius, int) or isinstance(box_radius, bool) or box_radius < 1:
-        raise ValidationError("box radius must be a positive integer")
 
 
 def solve(K: CompositeField, pib_source="box", box_radius: int = 20,

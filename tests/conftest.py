@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,15 @@ OCTIC_POLY = (1, -1, -4, 0, 1)
 
 # x^5 - 5x^3 + 4x - 1: totally real with squarefree discriminant
 QUINTIC_POLY = (-1, 4, 0, -5, 0, 1)
+
+
+def canonical_box(n, radius):
+    """Nonzero vectors of the box |x_i| <= radius in Z^(n-1), one per sign orbit
+    (first nonzero coordinate positive), in lexicographic order."""
+    for vec in itertools.product(range(-radius, radius + 1), repeat=n - 1):
+        lead = next((v for v in vec if v != 0), None)
+        if lead is not None and lead > 0:
+            yield vec
 
 
 def fraction_det(rows) -> Fraction:

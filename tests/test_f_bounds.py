@@ -23,7 +23,7 @@ from compib.simplest_quartic import olajos_generators
 from compib.solver import (_canonical_candidate, _signed, _validated_pib, solve_norm_unit_y1,
                            theorem_main_bounds)
 
-from conftest import IDENTITY4, OCTIC_POLY
+from conftest import IDENTITY4, OCTIC_POLY, canonical_box
 
 
 @functools.lru_cache(maxsize=None)
@@ -35,7 +35,7 @@ def _exact_index_pool(L, bound, radius):
     index form skips only the vectors whose index is certainly above bound.
     """
     out = []
-    for xs in L._canonical_box(radius):
+    for xs in canonical_box(L.n, radius):
         iv = L.index_form_interval(xs, 128)
         far = bound << iv.prec
         if iv.lo <= far and iv.hi >= -far and 1 <= L.element_index(xs) <= bound:

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compib.errors import ValidationError
+from compib.intervals import PREC_START
+from compib.intutil import odd_square_free
 from compib.numberfield import (_irreducible_mod_p, _scaled_inverse, _unclosed_product,
                                 field_from_dict, make_field)
 from compib.polynomials import Poly, discriminant, poly_mod_monic
 from compib.simplest_quartic import family_poly_coeffs, make_simplest_quartic
 
-from conftest import OCTIC_POLY, QUINTIC_POLY
+from conftest import IDENTITY4, OCTIC_POLY, QUINTIC_POLY, canonical_box
 
 X = sympy.Symbol("x")
 T = sympy.Symbol("t")
@@ -255,7 +257,7 @@ def test_index_interval_certifies_exact(fam1):
     rng = random.Random(13)
     for _ in range(25):
         xs = tuple(rng.randint(-7, 7) for _ in range(3))
-        certified = fam1._certified_index_value(xs)
+        certified = fam1.index_form_interval(xs, PREC_START).certify_integer(must=True)
         assert abs(certified) == fam1.element_index(xs)
 
 
@@ -270,6 +272,73 @@ def test_enumerate_bounded_index(fam2):
 
 def test_zero_index_vectors(fam2):
     assert fam2.zero_index_vectors(10) == ((3, 2, -1), (6, 4, -2), (9, 6, -3))
+
+
+@pytest.mark.parametrize("query", [
+    lambda L: L.zero_index_vectors(True),
+    lambda L: L.zero_index_vectors(0),
+    lambda L: L.zero_index_vectors(-3),
+    lambda L: L.zero_index_vectors(2.5),
+    lambda L: L.enumerate_bounded_index(1, True),
+    lambda L: L.enumerate_bounded_index(1, 0),
+    lambda L: L.enumerate_bounded_index(1, -3),
+    lambda L: L.enumerate_bounded_index(1, 2.5),
+    lambda L: L.enumerate_bounded_index(True, 3),
+    lambda L: L.enumerate_bounded_index(1.5, 3),
+    lambda L: L.enumerate_bounded_index(0, 3),
+], ids=["zero-True", "zero-0", "zero-neg", "zero-float", "radius-True", "radius-0",
+        "radius-neg", "radius-float", "bound-True", "bound-float", "bound-0"])
+def test_sweep_queries_validate(query):
+    L = make_simplest_quartic(2)
+    with pytest.raises(ValidationError, match="must be a positive integer"):
+        query(L)
+    assert L._sweep_cache == {}
+
+
+def _brute_index_table(L, radius):
+    """Canonical box vectors with |index| <= the index limit, by exact index alone."""
+    out = []
+    for xs in canonical_box(L.n, radius):
+        k = L.element_index(xs)
+        if k <= L._index_limit:
+            out.append((xs, k))
+    return tuple(out)
+
+
+def _real_quadratic(m):
+    # Z[(1 + sqrt m)/2] for m = 1 mod 4, else Z[sqrt m]
+    basis = ((1, 0), (Fraction(1, 2), Fraction(1, 2))) if m % 4 == 1 else ((1, 0), (0, 1))
+    return make_field((-m, 0, 1), basis)
+
+
+def _simplest_cubic(a):
+    # x^3 - a*x^2 - (a+3)*x - 1 with its power basis
+    return make_field((-1, -(a + 3), -a, 1), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def _quartic(a):
+    # a = 0 stands for the octic example's base field
+    if a == 0:
+        return make_field(OCTIC_POLY, IDENTITY4, expected_disc=1957)
+    return make_simplest_quartic(a)
+
+
+# prefixes of length 0 (n = 2), 1 (n = 3) and 2 (n = 4) along the sweep's line walk
+FIELD_KINDS = {
+    "real-quadratic": st.integers(min_value=2, max_value=300).filter(
+        lambda m: all(m % (p * p) for p in range(2, 18))).map(_real_quadratic),
+    "simplest-cubic": st.integers(min_value=-1, max_value=30).map(_simplest_cubic),
+    "quartic": st.sampled_from([0] + [a for a in range(1, 13)
+                                      if a != 3 and odd_square_free(a * a + 16)]).map(_quartic),
+}
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data(), radius=st.integers(min_value=1, max_value=4))
+def test_sweep_matches_exact_index(kind, data, radius):
+    L = data.draw(FIELD_KINDS[kind])
+    assert L._small_index_table(radius) == _brute_index_table(L, radius)
 
 
 def test_describe_roundtrip(octic_L):

@@ -15,7 +15,7 @@ from compib.simplest_quartic import (OLAJOS_A2, OLAJOS_A4, d3_partial_search,
                                      make_simplest_quartic, olajos_generators,
                                      verify_theorem_cq)
 
-from conftest import fraction_det
+from conftest import canonical_box, fraction_det
 
 
 def test_parameter_validation():
@@ -144,21 +144,25 @@ def test_bounded_enumeration_against_numeric_oracle(fam1):
 
 def test_one_sweep_serves_every_query(monkeypatch):
     L = make_simplest_quartic(1)
+    box = list(canonical_box(L.n, 3))
+    assert len(box) == 171          # (7^3 - 1) / 2 canonical vectors
+    small = [xs for xs in box if L.element_index(xs) <= L._index_limit]
     calls = []
-    certify = L._certified_index_value
+    index = L.element_index
 
     def counted(xs):
         calls.append(xs)
-        return certify(xs)
+        return index(xs)
 
-    monkeypatch.setattr(L, "_certified_index_value", counted)
+    monkeypatch.setattr(L, "element_index", counted)
     L.zero_index_vectors(3)
     L.enumerate_bounded_index(L._index_limit, 3)
     L.enumerate_bounded_index(1, 3)
     with pytest.raises(ValidationError, match="exceeds the limit"):
         L.enumerate_bounded_index(L._index_limit + 1, 3)
-    # one evaluation per canonical vector of the 7^3 box: (7^3 - 1) / 2
-    assert len(calls) == len(set(calls)) == 171
+    # one pass over the box: the interval step excludes every vector above the
+    # limit, and each of the others is confirmed exactly once
+    assert calls == small
 
 
 def test_grid_small():
