@@ -27,10 +27,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import CoprimalityError, InternalInvariantError, ValidationError
+from .errors import CoprimalityError, InternalInvariantError
 from .intervals import PREC_START, escalate, int_combination
 from .imquad import ImagQuadField
-from .numberfield import NumberField, index_from_char_resultant, unscale_char_poly
+from .numberfield import (NumberField, check_int_coords, index_from_char_resultant,
+                          unscale_char_poly)
 from .polynomials import Poly, poly_mod_monic, resultant
 
 
@@ -57,12 +58,7 @@ class CompositeField:
     # -- coordinates ----------------------------------------------------------
 
     def _check_coords(self, xs, ys) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        xs, ys = tuple(xs), tuple(ys)
-        if len(xs) != self.n or len(ys) != self.n:
-            raise ValidationError(f"expected {self.n} x- and y-coordinates")
-        if not all(isinstance(c, int) for c in xs + ys):
-            raise ValidationError("composite coordinates must be integers")
-        return xs, ys
+        return check_int_coords(xs, self.n), check_int_coords(ys, self.n)
 
     def _int_scaled_power(self, coords) -> Poly:
         """Power-basis polynomial of denom * (sum coords[i] * basis[i]), integer."""
@@ -144,9 +140,6 @@ class CompositeField:
 
     def factor_eq2(self, ys) -> int:
         """N_{L/Q}(gamma) for the omega-part gamma."""
-        ys = tuple(ys)
-        if len(ys) != self.n:
-            raise ValidationError(f"expected {self.n} y-coordinates")
         return self.L.element_norm(ys)
 
     def factor_F(self, xs, ys) -> int:

@@ -4,8 +4,9 @@ A field is described by a monic irreducible integer polynomial f (all roots
 real) together with an integral basis given as rational rows in the power
 basis, first row equal to 1.  Construction validates irreducibility, total
 realness, ring closure of the basis, and the discriminant; the returned
-``NumberField`` then offers exact characteristic polynomials, norms, and
-index computations, plus sweeps over coordinate boxes.
+``NumberField`` keeps the multiplication table that the closure check
+computes and offers exact characteristic polynomials, norms, and index
+computations, plus sweeps over coordinate boxes.
 
 A box sweep walks the box line by line along the last coordinate.  The
 difference forms of the index form are interval enclosures, built once per
@@ -13,10 +14,15 @@ line and stepped by exact interval additions; their product only excludes
 the vectors whose index is certainly above the field's index limit, and
 every other vector's index is computed exactly.
 
-Indices of elements are computed through an integer-scaled resultant: with
-D the denominator of alpha's power coordinates, R(s) = Res_x(f, s - D*h(x))
-is the (monic, integer) characteristic polynomial of D*alpha, and
-disc(char_alpha) = disc(R) / D^(n(n-1)) exactly.
+Every exact invariant of an integral element alpha comes from one
+characteristic polynomial: that of the integer matrix of multiplication by
+alpha in the basis, read off the table.  Its power traces Tr(alpha^k),
+k = 1..n, give the coefficients by Newton's identities (Le Verrier's
+method), each division by k exact.  The norm is its constant term up to
+sign, the index comes from its discriminant, and the cross-sum product from
+its resultant with its mirror.  No resultant over polynomial entries is
+taken in L; ``composite`` keeps that route for K = L*M, with the unscaling
+and index tail defined here.
 """
 
 from __future__ import annotations
@@ -33,13 +39,29 @@ from .intutil import exact_sqrt, floor_sqrt_fraction
 from .polynomials import (
     IsolatedRoot,
     Poly,
-    clear_denominators,
     isolate_real_roots,
     poly_from_ints,
     poly_mod_monic,
     resultant,
     discriminant,
 )
+
+
+def _dot(u, v) -> int:
+    return sum(map(operator.mul, u, v))
+
+
+def check_int_coords(coords, length: int) -> tuple[int, ...]:
+    """The coordinates as a tuple of ``length`` integers, else ValidationError.
+
+    ``bool`` is not taken for an integer, and neither is any other number.
+    """
+    coords = tuple(coords)
+    if len(coords) != length:
+        raise ValidationError(f"expected {length} coordinates, got {len(coords)}")
+    if not all(isinstance(c, int) and not isinstance(c, bool) for c in coords):
+        raise ValidationError(f"coordinates must be integers, got {list(coords)}")
+    return coords
 
 
 def _fixed_decimal(fr: Fraction, places: int) -> str:
@@ -249,10 +271,16 @@ class NumberField:
     """Totally real field Q[x]/(f) with integral basis rows in the power basis."""
 
     def __init__(self, f: Poly, basis: tuple[tuple[Fraction, ...], ...], disc: int,
-                 denom: int, roots: list[IsolatedRoot], precision_cap: int = PREC_CAP):
+                 denom: int, roots: list[IsolatedRoot],
+                 mult_table: tuple[tuple[tuple[int, ...], ...], ...],
+                 precision_cap: int = PREC_CAP):
         self.f = f
         self.n = f.degree
         self.basis = basis
+        # mult_table[i] is the integer matrix of multiplication by b_i:
+        # column j holds the coordinates of b_i*b_j
+        self.mult_table = mult_table
+        self._traces = tuple(sum(m[k][k] for k in range(self.n)) for m in mult_table)
         self.disc = disc
         self.denom = denom
         self.roots = roots
@@ -283,51 +311,51 @@ class NumberField:
 
     # -- exact invariants ----------------------------------------------------
 
-    def _scaled_char_resultant(self, coords) -> tuple[Poly, int]:
-        """(R, D) with char_alpha(t) = R(D*t) / D^n, R monic integer."""
-        h = Poly(self.to_power_coeffs(coords))
-        b, d = clear_denominators(h)
-        if b.degree <= 0:
-            c = b.coeffs[0] if b.coeffs else 0
-            return Poly([-c, 1]) ** self.n, d
-        entries = [Poly([-bj]) for bj in b.coeffs]
-        entries[0] = Poly([-b.coeffs[0], 1])
-        r = resultant(self.f, Poly(entries))
-        if not (isinstance(r, Poly) and r.degree == self.n and r.lc == 1):
-            raise InternalInvariantError("characteristic resultant is not monic of full degree")
-        return r, d
-
     def char_poly(self, coords) -> Poly:
-        """Monic characteristic polynomial (degree n) of the element."""
-        return unscale_char_poly(*self._scaled_char_resultant(coords))
+        """Monic integer characteristic polynomial (degree n) of an integral element."""
+        return self._char_poly(check_int_coords(coords, self.n))
+
+    def _char_poly(self, a: tuple[int, ...]) -> Poly:
+        """char_poly of checked coordinates.
+
+        With A the matrix of multiplication by alpha, A[r][c] = sum_i a_i *
+        mult_table[i][r][c] = <a, mult_table[c][r]> because b_i*b_c =
+        b_c*b_i.  The power traces p_k = Tr(alpha^k) come from the
+        coordinates A^(k-1) a of alpha^k, and the coefficients s_k of
+        t^(n-k) from Newton's identities k*s_k = -sum_{i<=k} s_(k-i)*p_i.
+        """
+        n = self.n
+        mat = [[_dot(a, m[r]) for m in self.mult_table] for r in range(n)]
+        power, sums = a, [_dot(self._traces, a)]
+        for _ in range(n - 1):
+            power = [_dot(row, power) for row in mat]
+            sums.append(_dot(self._traces, power))
+        coeffs = [1]
+        for k in range(1, n + 1):
+            s, rem = divmod(-_dot(reversed(coeffs), sums), k)
+            if rem:
+                raise InternalInvariantError("power traces of an integral element break Newton's identities")
+            coeffs.append(s)
+        return Poly(reversed(coeffs))
 
     def element_norm(self, coords) -> int:
-        if not all(isinstance(c, int) for c in coords):
-            raise ValidationError("norm requires integral coordinates")
-        r, d = self._scaled_char_resultant(coords)
-        num = r.coeffs[0] if r.coeffs else 0
-        if self.n % 2:
-            num = -num
-        q, rem = divmod(num, d**self.n)
-        if rem:
-            raise InternalInvariantError("norm of an integral element is not an integer")
-        return q
+        """N_{L/Q} of an integral element: (-1)^n times its char_poly's constant term."""
+        c0 = self._char_poly(check_int_coords(coords, self.n)).coeffs[0]
+        return -c0 if self.n % 2 else c0
 
     def cross_sum_square(self, coords) -> int:
         """P(y)^2 for P(y) = prod_{i<j} (y_i + y_j) over the conjugates of y.
 
-        With R the characteristic polynomial of D*y and r_i = D*y_i its
-        roots, Res(R(t), R(-t)) = prod_{i,j} (r_i + r_j) = 2^n * R(0) *
-        P(D*y)^2, and P(D*y) = D^e * P(y) with e = n(n-1)/2.
+        With R the characteristic polynomial of y, Res(R(t), R(-t)) =
+        prod_i R(-y_i) = (-1)^n prod_{i,j} (y_i + y_j) = 2^n * R(0) * P(y)^2,
+        since R(0) = (-1)^n N(y).
         """
-        if not all(isinstance(c, int) for c in coords):
-            raise ValidationError("cross sums require integral coordinates")
-        r, d = self._scaled_char_resultant(coords)
-        r0 = r.coeffs[0] if r.coeffs else 0
+        r = self._char_poly(check_int_coords(coords, self.n))
+        r0 = r.coeffs[0]
         if r0 == 0:
             return 0
         mirrored = Poly([-c if k % 2 else c for k, c in enumerate(r.coeffs)])
-        q, rem = divmod(resultant(r, mirrored), (2**self.n) * r0 * d ** (self.n * (self.n - 1)))
+        q, rem = divmod(resultant(r, mirrored), (2**self.n) * r0)
         if rem or q < 0:
             raise InternalInvariantError("cross-sum product is not a square integer")
         return q
@@ -337,12 +365,8 @@ class NumberField:
 
         Zero exactly when the element generates a proper subfield.
         """
-        if len(xs) != self.n - 1:
-            raise ValidationError(f"expected {self.n - 1} coordinates, got {len(xs)}")
-        if not all(isinstance(c, int) for c in xs):
-            raise ValidationError("index requires integral coordinates")
-        r, d = self._scaled_char_resultant((0, *xs))
-        return index_from_char_resultant(r, d, self.disc)
+        xs = check_int_coords(xs, self.n - 1)
+        return index_from_char_resultant(self._char_poly((0, *xs)), 1, self.disc)
 
     # -- certified-interval machinery -----------------------------------------
 
@@ -431,22 +455,32 @@ class NumberField:
         }
 
 
-def _unclosed_product(f: Poly, scaled: list[list[int]], inv: list[list[int]],
-                      modulus: int) -> tuple[int, int] | None:
-    """First basis pair (i, j), i <= j, whose product leaves the lattice.
+def _multiplication_table(f: Poly, scaled: list[list[int]], inv: list[list[int]],
+                          modulus: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Integer matrices of multiplication by each basis element, or ValidationError.
 
     ``scaled`` is M = denom * basis, ``inv`` is d * M^-1 and ``modulus`` is
     denom * d.  b_i*b_j is (M_i*M_j mod f) / denom^2 in the power basis, so
-    its coordinates are (M_i*M_j mod f) * inv / modulus.  Products with
-    b_0 = 1 stay in the lattice and are skipped.
+    its coordinates are (M_i*M_j mod f) * inv / modulus, and the basis is
+    closed exactly when every such division is exact; the first pair
+    (i, j), i <= j, that is not names the error.  Products with b_0 = 1 are
+    the unit vectors.  Entry [i][r][j] of the result is coordinate r of
+    b_i*b_j.
     """
     n = len(scaled)
+    inv_cols = list(zip(*inv))
+    prods = {}
     for i in range(1, n):
         for j in range(i, n):
             prod = poly_mod_monic(Poly(scaled[i]) * Poly(scaled[j]), f).coeffs
-            if any(sum(c * row[k] for c, row in zip(prod, inv)) % modulus for k in range(n)):
-                return i, j
-    return None
+            scaled_coords = [_dot(prod, col) for col in inv_cols]
+            if any(v % modulus for v in scaled_coords):
+                raise ValidationError(
+                    f"integral basis is not multiplicatively closed (product {i},{j})")
+            prods[i, j] = prods[j, i] = [v // modulus for v in scaled_coords]
+    unit = [[int(r == j) for r in range(n)] for j in range(n)]
+    cols = [unit] + [[unit[i]] + [prods[i, j] for j in range(1, n)] for i in range(1, n)]
+    return tuple(tuple(zip(*c)) for c in cols)
 
 
 def validate_box_radius(box_radius) -> None:
@@ -477,7 +511,9 @@ def make_field(poly_coeffs, basis_rows, expected_disc: int | None = None,
     - the spanned order is closed under multiplication: b_i*b_j has the
       coordinates (M_i*M_j mod f) * A / (denom * d), so it is integral
       exactly when (M_i*M_j mod f) * A is 0 mod denom * d (f is monic, so
-      M_i*M_j mod f stays integral).
+      M_i*M_j mod f stays integral).  These integer coordinates are kept as
+      the field's multiplication table, from which every characteristic
+      polynomial, norm and index of L is then computed.
 
     The basis is trusted to span the maximal order; closure and discriminant
     agreement are the verifiable parts of that claim.
@@ -518,10 +554,8 @@ def make_field(poly_coeffs, basis_rows, expected_disc: int | None = None,
     if expected_disc is not None and disc != expected_disc:
         raise ValidationError(f"discriminant mismatch: computed {disc}, expected {expected_disc}")
 
-    pair = _unclosed_product(f, scaled, inv, denom * det)
-    if pair is not None:
-        raise ValidationError("integral basis is not multiplicatively closed (product %d,%d)" % pair)
-    return NumberField(f, tuple(rows), disc, denom, roots, precision_cap=precision_cap)
+    table = _multiplication_table(f, scaled, inv, denom * det)
+    return NumberField(f, tuple(rows), disc, denom, roots, table, precision_cap=precision_cap)
 
 
 def field_from_dict(data: dict, precision_cap: int = PREC_CAP) -> NumberField:

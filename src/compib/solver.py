@@ -67,8 +67,7 @@ from .composite import CompositeField
 from .errors import InternalInvariantError, ValidationError
 from .intervals import int_combination
 from .intutil import floor_sqrt_fraction, is_prime
-from .numberfield import NumberField, validate_box_radius
-from .polynomials import Poly
+from .numberfield import NumberField, check_int_coords, validate_box_radius
 
 NONRES_D1 = "NONRES_D1"
 NONRES_DGT1 = "NONRES_DGT1"
@@ -184,17 +183,12 @@ def solve_norm_unit_y1(L: NumberField, ytail) -> tuple[int, ...]:
     negated tail, so only a few integers near the root enclosures need the
     exact test.  The solutions are memoised on L by y-tail.
     """
-    ytail = tuple(ytail)
-    if len(ytail) != L.n - 1:
-        raise ValidationError(f"expected {L.n - 1} coordinates, got {len(ytail)}")
+    ytail = check_int_coords(ytail, L.n - 1)
     hit = L._unit_y1_cache.get(ytail)
     if hit is not None:
         return hit
     neg = (0, *[-y for y in ytail])
     g = L.char_poly(neg)
-    if any(c.denominator != 1 for c in g.coeffs):
-        raise InternalInvariantError("characteristic polynomial of integral element not integral")
-    g = Poly([int(c) for c in g.coeffs])
     prec = 128
     emb = L.embeddings(prec)
     cands: set[int] = set()
@@ -306,18 +300,14 @@ def _validated_pib(L: NumberField, vectors) -> tuple[tuple[int, ...], ...]:
     """Sign-orbit representatives of the supplied generators, each proved to
     have index 1; the table is memoised on L by the input vectors."""
     try:
-        vectors = tuple(tuple(v) for v in vectors)
+        vectors = tuple(check_int_coords(v, L.n - 1) for v in vectors)
     except TypeError:
         raise ValidationError("generator vectors must be sequences of integers")
-    if not all(isinstance(c, int) and not isinstance(c, bool) for v in vectors for c in v):
-        raise ValidationError("generator vector coordinates must be integers")
     hit = L._pib_cache.get(vectors)
     if hit is not None:
         return hit
     seen = set()
     for v in vectors:
-        if len(v) != L.n - 1:
-            raise ValidationError(f"generator vectors need {L.n - 1} coordinates")
         if L.element_index(v) != 1:
             raise ValidationError(f"supplied vector {list(v)} does not generate a power integral basis of L")
         lead = next((c for c in v if c != 0), 0)

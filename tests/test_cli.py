@@ -50,6 +50,20 @@ def test_composite_index(capsys):
     assert data["index"] == abs(data["F"]) == 33086464
 
 
+def test_composite_index_precision_cap_exit_4(capsys):
+    # coordinates near 10^6 need 512 bits to certify eq1 and F: a 256-bit cap
+    # stops with exit code 4, the default cap certifies the identity
+    argv = ["composite-index", "--a", "2", "--d", "7", "--x", "734211,-998123,512077",
+            "--y", "612345,-877001,954321,-700000"]
+    code, _, err = run(capsys, "--precision-cap", "256", *argv)
+    assert code == 4
+    assert "precision cap exceeded" in err
+    code, out, _ = run(capsys, *argv, "--json", "-")
+    assert code == 0
+    data = json.loads(out)
+    assert data["index"] == data["eq1"] * abs(data["eq2"]) * abs(data["F"]) > 0
+
+
 def test_solve_json_deterministic(capsys):
     code, first, _ = run(capsys, "solve", "--a", "2", "--d", "7",
                          "--box", "8", "--json", "-")

@@ -4,10 +4,15 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from compib import make_field
 from compib.composite import make_composite
 from compib.errors import CoprimalityError, ValidationError
 from compib.imquad import make_imq
-from compib.polynomials import Poly, resultant
+from compib.polynomials import Poly, discriminant, resultant
+from compib.simplest_quartic import make_simplest_quartic
+from compib.solver import bounds_hold, solve_norm_unit_y1
+
+from conftest import IDENTITY4, OCTIC_POLY, reference_norm
 
 
 def _char_poly_reference(K, xs, ys) -> Poly:
@@ -121,3 +126,46 @@ def test_coordinate_validation(K_octic):
         K_octic.composite_index((0, 0, 0), (0, 1, 0, 0))
     with pytest.raises(ValidationError):
         K_octic.factor_eq2((1, 0, 0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda L, K: L.element_index((True, 0, 0)),
+    lambda L, K: L.element_norm((1, True, 0, 0)),
+    lambda L, K: L.char_poly((0, 1.5, 0, 0)),
+    lambda L, K: L.char_poly((0, True, 0, 0)),
+    lambda L, K: L.cross_sum_square((0, True, 0, 0)),
+    lambda L, K: K.factorization((0, 0, 0, 0), (False, True, 0, 0)),
+    lambda L, K: K.composite_index((0, True, 0, 0), (1, 0, 0, 0)),
+    lambda L, K: K.factor_eq2((0, 1, False, 0)),
+    lambda L, K: solve_norm_unit_y1(L, (True, 0, 0)),
+    lambda L, K: bounds_hold(K, (0, 0, 0, 0), (0, True, 0, 0)),
+], ids=["index-bool", "norm-bool", "char-poly-float", "char-poly-bool", "cross-sum-bool",
+        "factorization-bool", "composite-index-bool", "eq2-bool", "unit-y1-bool",
+        "bounds-hold-bool"])
+def test_coordinates_must_be_integers(call):
+    # bool is not read as an integer, and no other number is either
+    L = make_simplest_quartic(2)
+    with pytest.raises(ValidationError, match="coordinates must be integers"):
+        call(L, make_composite(L, make_imq(7)))
+
+
+@pytest.mark.parametrize("bound, top_prec", [(10**4, 256), (10**6, 512), (10**30, 2048)],
+                         ids=["1e4", "1e6", "1e30"])
+def test_factorization_identity_large_coordinates(bound, top_prec):
+    # coordinates of magnitude about the bound over the octic example's base
+    # field (d = 1), L_2 (d = 7) and L_8 (d = 3): the identity, eq2 against
+    # the resultant reference, and the exact discriminant route; eq1 and F
+    # escalate to top_prec bits to certify these values
+    rng = random.Random(bound)
+    for L, d in ((make_field(OCTIC_POLY, IDENTITY4), 1), (make_simplest_quartic(2), 7),
+                 (make_simplest_quartic(8), 3)):
+        K = make_composite(L, make_imq(d))
+        for _ in range(3):
+            xs, ys = [tuple(rng.choice((-1, 1)) * rng.randint(bound // 2, bound)
+                            for _ in range(4)) for _ in range(2)]
+            xs = (0, *xs[1:])
+            fac = K.factorization(xs, ys)
+            assert fac["index"] == fac["eq1"] * abs(fac["eq2"]) * abs(fac["F"])
+            assert fac["eq2"] == reference_norm(L, ys)
+            assert discriminant(K.char_poly(xs, ys)) == fac["index"] ** 2 * K.disc
+        assert max(L._emb) == top_prec

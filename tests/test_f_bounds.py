@@ -23,7 +23,7 @@ from compib.simplest_quartic import olajos_generators
 from compib.solver import (_canonical_candidate, _signed, _validated_pib, solve_norm_unit_y1,
                            theorem_main_bounds)
 
-from conftest import IDENTITY4, OCTIC_POLY, canonical_box
+from conftest import CYCLO17_BASIS, CYCLO17_POLY, IDENTITY4, OCTIC_POLY, canonical_box
 
 
 @functools.lru_cache(maxsize=None)
@@ -178,17 +178,6 @@ def test_wide_grid_needs_no_search():
     paper = [r for r in ran if r["a"] <= 20 and r["d"] <= 30]
     assert len(paper) == 190
     assert sum(r["completeness"] == "COMPLETE" for r in paper) == 181
-
-
-# 2cos(2*pi/17) generates the real subfield of the 17th cyclotomic field, of
-# degree 8 and discriminant 17^7; the basis is 1 and the periods 2cos(2*pi*k/17),
-# k = 1..7, so the quadratic and quartic subfields have vectors in box 1
-CYCLO17_POLY = (1, -4, -10, 10, 15, -6, -7, 1, 1)
-CYCLO17_BASIS = (
-    (1, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0), (-2, 0, 1, 0, 0, 0, 0, 0),
-    (0, -3, 0, 1, 0, 0, 0, 0), (2, 0, -4, 0, 1, 0, 0, 0), (0, 5, 0, -5, 0, 1, 0, 0),
-    (-2, 0, 9, 0, -6, 0, 1, 0), (0, -7, 0, 14, 0, -7, 0, 1),
-)
 
 
 def test_degree_8_base_field_stays_a_search():

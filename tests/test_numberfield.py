@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,12 +12,14 @@ from hypothesis import strategies as st
 from compib.errors import ValidationError
 from compib.intervals import PREC_START
 from compib.intutil import odd_square_free
-from compib.numberfield import (_irreducible_mod_p, _scaled_inverse, _unclosed_product,
+from compib.numberfield import (_irreducible_mod_p, _multiplication_table, _scaled_inverse,
                                 field_from_dict, make_field)
 from compib.polynomials import Poly, discriminant, poly_mod_monic
 from compib.simplest_quartic import family_poly_coeffs, make_simplest_quartic
 
-from conftest import IDENTITY4, OCTIC_POLY, QUINTIC_POLY, canonical_box
+from conftest import (CYCLO17_BASIS, CYCLO17_POLY, IDENTITY4, OCTIC_POLY, QUINTIC_POLY,
+                      canonical_box, reference_char_poly, reference_cross_sum_square,
+                      reference_index, reference_norm)
 
 X = sympy.Symbol("x")
 T = sympy.Symbol("t")
@@ -70,10 +74,17 @@ def _closure_reference(f, basis):
 
 
 def _closure_integer(f, basis):
+    """The pair that the integer table build names as unclosed, else None."""
     denom = math.lcm(*(Fraction(c).denominator for row in basis for c in row))
     scaled = [[int(Fraction(c) * denom) for c in row] for row in basis]
     inv, det = _scaled_inverse(scaled)
-    return _unclosed_product(f, scaled, inv, denom * det)
+    try:
+        _multiplication_table(f, scaled, inv, denom * det)
+    except ValidationError as exc:
+        pair = re.fullmatch(r"integral basis is not multiplicatively closed \(product (\d+),(\d+)\)",
+                            str(exc))
+        return int(pair[1]), int(pair[2])
+    return None
 
 
 def test_make_field_validations():
@@ -210,6 +221,32 @@ def test_closure_verdicts_both_ways():
     assert _closure_integer(f, halved) == _closure_reference(f, halved) == (1, 3)
 
 
+def _power_basis_field(poly):
+    n = len(poly) - 1
+    return make_field(poly, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def _cyclo17():
+    return make_field(CYCLO17_POLY, CYCLO17_BASIS, expected_disc=17**7)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_field((-5, 0, 1), ((1, 0), (Fraction(1, 2), Fraction(1, 2)))),
+    lambda: make_simplest_quartic(8),
+    lambda: make_field(OCTIC_POLY, IDENTITY4),
+    lambda: make_field(QUINTIC_POLY, tuple(tuple(int(i == j) for j in range(5)) for i in range(5))),
+    _cyclo17,
+], ids=["sqrt5-half-basis", "L_8-denominator-4", "octic-base", "quintic", "conductor-17"])
+def test_table_reproduces_products(build):
+    # column j of mult_table[i] is b_i*b_j in basis coordinates, as the
+    # power-basis product reduced mod f and mapped back over Fractions says
+    L = build()
+    units = [tuple(int(k == i) for k in range(L.n)) for i in range(L.n)]
+    for i, j in itertools.product(range(L.n), repeat=2):
+        column = tuple(row[j] for row in L.mult_table[i])
+        assert column == _multiply_coords_reference(L.f, L.basis, units[i], units[j])
+
+
 def test_char_poly_of_xi_squared(octic_L):
     char = octic_L.char_poly((0, 0, 1, 0))
     assert [c for c in char.coeffs] == [1, -9, 18, -8, 1]
@@ -339,6 +376,37 @@ FIELD_KINDS = {
 def test_sweep_matches_exact_index(kind, data, radius):
     L = data.draw(FIELD_KINDS[kind])
     assert L._small_index_table(radius) == _brute_index_table(L, radius)
+
+
+# fields for the reference test, with the coordinate bound drawn over each
+ORACLE_FIELDS = {
+    "power-basis": (st.sampled_from([(-1, -1, 1), (-1, -5, -2, 1), (1, 0, -10, 0, 1)])
+                    .map(_power_basis_field), 10**30),
+    "quartic": (st.sampled_from([0] + [a for a in range(1, 13)
+                                       if a != 3 and odd_square_free(a * a + 16)])
+                .map(_quartic), 10**30),
+    "conductor-17": (st.just(None).map(lambda _: _cyclo17()), 10**3),
+}
+
+
+@pytest.mark.parametrize("kind", ORACLE_FIELDS)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_invariants_match_resultant_reference(kind, data):
+    # the table's characteristic polynomial against Res_x(f, t - D*h(x)):
+    # x^2 - x - 1, the Shanks cubic x^3 - 2x^2 - 5x - 1 and the V4 quartic
+    # x^4 - 10x^2 + 1 with their power bases, the family members a <= 12 and
+    # the octic example's base field, and the conductor-17 octic field
+    fields, bound = ORACLE_FIELDS[kind]
+    L = data.draw(fields)
+    coords = tuple(data.draw(st.lists(st.integers(min_value=-bound, max_value=bound),
+                                      min_size=L.n, max_size=L.n)))
+    char = L.char_poly(coords)
+    assert char == reference_char_poly(L, coords)
+    assert all(isinstance(c, int) for c in char.coeffs)
+    assert L.element_norm(coords) == reference_norm(L, coords)
+    assert L.element_index(coords[1:]) == reference_index(L, coords[1:])
+    assert L.cross_sum_square(coords) == reference_cross_sum_square(L, coords)
 
 
 def test_describe_roundtrip(octic_L):
