@@ -16,7 +16,8 @@ arbitrary totally real field read from a JSON file (--field) with keys
 rationals as strings), and optionally "expected_disc".
 
 Exit codes: 0 success, 1 failed verification, 2 usage error,
-3 validation error, 4 precision cap exceeded, 5 internal invariant broken.
+3 validation error, 4 the fixed 8192-bit precision cap exceeded,
+5 internal invariant broken.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import sys
 from .composite import make_composite
 from .errors import (InternalInvariantError, PrecisionError, ValidationError)
 from .imquad import make_imq
-from .intervals import PREC_CAP
 from .numberfield import field_from_dict, make_field
 from .polynomials import Poly
 from .simplest_quartic import (d3_partial_search, make_simplest_quartic,
@@ -52,7 +52,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _load_base_field(args):
     if args.a is not None:
-        return make_simplest_quartic(args.a, precision_cap=args.precision_cap)
+        return make_simplest_quartic(args.a)
     try:
         with open(args.field) as fh:
             data = json.load(fh)
@@ -60,7 +60,7 @@ def _load_base_field(args):
         raise ValidationError(f"cannot read field file: {exc}")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"field file is not valid JSON: {exc}")
-    return field_from_dict(data, precision_cap=args.precision_cap)
+    return field_from_dict(data)
 
 
 def _emit_json(args, obj) -> None:
@@ -167,7 +167,7 @@ def _cmd_verify_cq(args) -> int:
         progress = lambda line: print(line, file=sys.stderr)
     rep = verify_theorem_cq(a_max=args.a_max, d_max=args.d_max,
                             box_radius=args.box, jobs=args.jobs,
-                            progress=progress, precision_cap=args.precision_cap)
+                            progress=progress)
     for row in rep["rows"]:
         if row["status"] == "OK":
             _say(args, f"a={row['a']:>2} d={row['d']:>2}  {row['verdict']}"
@@ -181,7 +181,7 @@ def _cmd_verify_cq(args) -> int:
 
 
 def _cmd_d3_search(args) -> int:
-    rep = d3_partial_search(args.a, box_radius=args.box, precision_cap=args.precision_cap)
+    rep = d3_partial_search(args.a, box_radius=args.box)
     _say(args,
          f"verdict: {rep['verdict']}",
          f"completeness: {rep['completeness']}",
@@ -197,8 +197,7 @@ def _cmd_check_example5(args) -> int:
     basis = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     checks = []
 
-    L = make_field(OCTIC_FIELD_POLY, basis, expected_disc=OCTIC_FIELD_DISC,
-                   precision_cap=args.precision_cap)
+    L = make_field(OCTIC_FIELD_POLY, basis, expected_disc=OCTIC_FIELD_DISC)
     checks.append(("base field discriminant is 1957", L.disc == OCTIC_FIELD_DISC,
                    f"D_L = {L.disc}"))
 
@@ -246,8 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact monogenity computations in composites of a totally "
                     "real field with an imaginary quadratic field.",
     )
-    parser.add_argument("--precision-cap", type=int, default=PREC_CAP,
-                        help=f"interval precision ceiling in bits (default {PREC_CAP})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field-info", help="describe the base field L")

@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 
 from .errors import CoprimalityError, InternalInvariantError
-from .intervals import PREC_START, escalate, int_combination
+from .intervals import escalate, int_combination
 from .imquad import ImagQuadField
 from .numberfield import (NumberField, check_int_coords, index_from_char_resultant,
                           unscale_char_poly)
@@ -43,14 +43,6 @@ class CompositeField:
         self.M = M
         self.n = L.n
         self.disc = M.disc**L.n * L.disc**2
-
-    def describe(self) -> dict:
-        return {
-            "degree": 2 * self.n,
-            "disc": self.disc,
-            "field_L": self.L.describe(),
-            "field_M": self.M.describe(),
-        }
 
     def __repr__(self):
         return f"CompositeField(n={self.n}, d={self.M.d}, disc={self.disc})"
@@ -115,28 +107,33 @@ class CompositeField:
 
     # -- certified factor computations -------------------------------------------
 
+    def _pair_product(self, prec: int, xs, ys, cross: bool):
+        """Product over L's conjugate pairs (j1, j2) of (x + u*y)^2 + v^2 * w^2.
+
+        x and y are the pair differences of the x- and y-tails, u = Re(omega)
+        and v^2 = Im(omega)^2; w is the y difference for eq1 and, with
+        ``cross`` set, the y sum plus 2*y_1 for F.
+        """
+        emb = self.L.embeddings(prec)
+        u = self.M.omega_re
+        v_sq = self.M.im_omega_sq
+        xt, yt = xs[1:], ys[1:]
+        prod = None
+        for diffs, sums in zip(emb.diffs, emb.sums):
+            xd = int_combination(diffs, xt)
+            yd = int_combination(diffs, yt)
+            w = int_combination(sums, yt) + 2 * ys[0] if cross else yd
+            re = xd + yd * u if u else xd
+            term = re * re + w * w * v_sq
+            prod = term if prod is None else prod * term
+        return prod
+
     def factor_eq1(self, xs, ys) -> int:
         """N_{M/Q} of the relative index form; a non-negative integer."""
         xs, ys = self._check_coords(xs, ys)
-        L, M = self.L, self.M
-        u = M.omega_re
-        v_sq = M.im_omega_sq
-
-        recip_disc = Fraction(1, L.disc)
-        xt, yt = xs[1:], ys[1:]
-
-        def task(prec):
-            emb = L.embeddings(prec)
-            prod = None
-            for diffs in emb.diffs:
-                xp = int_combination(diffs, xt)
-                yp = int_combination(diffs, yt)
-                re = xp + yp * u if u else xp
-                term = re * re + yp * yp * v_sq
-                prod = term if prod is None else prod * term
-            return (prod * recip_disc).certify_integer(must=True)
-
-        return escalate(task, start=PREC_START, cap=self.L.precision_cap)
+        recip_disc = Fraction(1, self.L.disc)
+        return escalate(lambda prec: (self._pair_product(prec, xs, ys, False)
+                                      * recip_disc).certify_integer())
 
     def factor_eq2(self, ys) -> int:
         """N_{L/Q}(gamma) for the omega-part gamma."""
@@ -150,30 +147,15 @@ class CompositeField:
         intervals only.
         """
         xs, ys = self._check_coords(xs, ys)
-        L, M = self.L, self.M
-        u = M.omega_re
-        v_sq = M.im_omega_sq
         e = self.n * (self.n - 1) // 2
-        xt, yt = xs[1:], ys[1:]
 
         def task(prec):
-            emb = L.embeddings(prec)
-            prod = None
-            for diffs, sums in zip(emb.diffs, emb.sums):
-                xd = int_combination(diffs, xt)
-                yd = int_combination(diffs, yt)
-                ysum = int_combination(sums, yt) + 2 * ys[0]
-                re = xd + yd * u if u else xd
-                term = re * re + ysum * ysum * v_sq
-                prod = term if prod is None else prod * term
-            if prod is None:
-                raise InternalInvariantError("degree-1 field in cross-difference product")
-            k = prod.certify_integer(must=True)
+            k = self._pair_product(prec, xs, ys, True).certify_integer()
             if k is None:
                 return None
             return -k if e % 2 else k
 
-        return escalate(task, start=PREC_START, cap=self.L.precision_cap)
+        return escalate(task)
 
     def factorization(self, xs, ys) -> dict:
         """All three factors, the index, and the identity check in one report."""

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .intutil import is_squarefree
-from .polynomials import Poly
 
 
 class ImagQuadField:
@@ -24,19 +23,9 @@ class ImagQuadField:
         self.disc = -d if residue else -4 * d
         self.omega_trace = 1 if residue else 0        # omega + conj(omega)
         self.omega_norm = (1 + d) // 4 if residue else d
-        self.min_poly_omega = Poly([self.omega_norm, -self.omega_trace, 1])
         self.omega_re = Fraction(self.omega_trace, 2)
         # Im(omega)^2, exact: d in the non-residue case, d/4 in the residue case
         self.im_omega_sq = Fraction(d, 4) if residue else Fraction(d)
-
-    def describe(self) -> dict:
-        omega = "(1+i*sqrt(d))/2" if self.residue else "i*sqrt(d)"
-        return {
-            "d": self.d,
-            "disc": self.disc,
-            "omega": omega,
-            "omega_min_poly": [int(c) for c in self.min_poly_omega.coeffs],
-        }
 
     def __repr__(self):
         return f"ImagQuadField(d={self.d}, disc={self.disc})"

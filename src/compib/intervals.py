@@ -5,8 +5,9 @@ A ``RealInterval`` stores integer endpoints ``lo <= hi`` at a fixed scale
 rounding: the true value is always contained.  A value known in advance to
 be an integer is resolved exactly once the enclosure has width < 1/2.
 
-Precision policy: evaluations start at ``PREC_START`` bits and double on a
-failed integer certification, up to ``PREC_CAP``; past the cap a
+Precision policy, fixed for the whole library: ``escalate`` evaluates at
+``PREC_START`` = 128 bits and doubles the precision on every failed integer
+certification, up to ``PREC_CAP`` = 8192 bits; past the cap a
 ``PrecisionError`` is raised rather than ever rounding silently.
 """
 
@@ -128,23 +129,20 @@ class RealInterval:
         khi = self.hi >> self.prec
         return klo, khi
 
-    def certify_integer(self, *, must: bool = False) -> int | None:
+    def certify_integer(self) -> int | None:
         """The unique integer inside, provided the width is < 1/2.
 
-        Returns None when the interval is still too wide; with ``must`` set,
-        an interval that is narrow enough but excludes all integers raises
-        (the true value was promised to be an integer, so the enclosure or
-        the promise is wrong).
+        Returns None when the interval is still too wide.  An interval that
+        is narrow enough but excludes all integers raises: the true value was
+        promised to be an integer, so the enclosure or the promise is wrong.
         """
         if self.hi - self.lo >= 1 << (self.prec - 1):
             return None
         klo, khi = self.integer_range()
         if klo > khi:
-            if must:
-                raise InternalInvariantError(
-                    "narrow enclosure excludes all integers for an integer-valued quantity"
-                )
-            return None
+            raise InternalInvariantError(
+                "narrow enclosure excludes all integers for an integer-valued quantity"
+            )
         if klo != khi:
             raise InternalInvariantError("width < 1/2 cannot contain two integers")
         return klo
@@ -176,16 +174,16 @@ def int_combination(vals, coeffs) -> RealInterval:
     return acc
 
 
-def escalate(task, *, start: int = PREC_START, cap: int = PREC_CAP):
-    """Run task(prec), doubling precision while it returns None.
+def escalate(task):
+    """Run task(prec) at 128, 256, ... bits while it returns None.
 
-    Raises PrecisionError once the cap is exceeded; enclosures are never
-    silently rounded.
+    Raises PrecisionError once the 8192-bit ``PREC_CAP`` is exceeded;
+    enclosures are never silently rounded.
     """
-    prec = start
-    while prec <= cap:
+    prec = PREC_START
+    while prec <= PREC_CAP:
         out = task(prec)
         if out is not None:
             return out
         prec *= 2
-    raise PrecisionError(f"integer certification failed below the {cap}-bit precision cap")
+    raise PrecisionError(f"integer certification failed below the {PREC_CAP}-bit precision cap")

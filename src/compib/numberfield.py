@@ -12,7 +12,10 @@ A box sweep walks the box line by line along the last coordinate.  The
 difference forms of the index form are interval enclosures, built once per
 line and stepped by exact interval additions; their product only excludes
 the vectors whose index is certainly above the field's index limit, and
-every other vector's index is computed exactly.
+every other vector's index is computed exactly.  A field carries no
+precision setting: the sweep works at ``PREC_START`` bits, and the
+certifications built on a field's embeddings climb the fixed ladder of
+``intervals.escalate``.
 
 Every exact invariant of an integral element alpha comes from one
 characteristic polynomial: that of the integer matrix of multiplication by
@@ -34,7 +37,7 @@ import operator
 from fractions import Fraction
 
 from .errors import InternalInvariantError, ValidationError
-from .intervals import PREC_CAP, PREC_START, RealInterval, int_combination, sqrt_int
+from .intervals import PREC_START, RealInterval, int_combination, sqrt_int
 from .intutil import exact_sqrt, floor_sqrt_fraction
 from .polynomials import (
     IsolatedRoot,
@@ -272,8 +275,7 @@ class NumberField:
 
     def __init__(self, f: Poly, basis: tuple[tuple[Fraction, ...], ...], disc: int,
                  denom: int, roots: list[IsolatedRoot],
-                 mult_table: tuple[tuple[tuple[int, ...], ...], ...],
-                 precision_cap: int = PREC_CAP):
+                 mult_table: tuple[tuple[tuple[int, ...], ...], ...]):
         self.f = f
         self.n = f.degree
         self.basis = basis
@@ -284,7 +286,6 @@ class NumberField:
         self.disc = disc
         self.denom = denom
         self.roots = roots
-        self.precision_cap = precision_cap
         self._emb: dict[int, _Embeddings] = {}
         # largest index bound a composite over L asks for: 1, the real-part
         # floor 2^e/sqrt(D_L) and the d = 3 y-part floor (4/3)^(e/2)
@@ -488,14 +489,7 @@ def validate_box_radius(box_radius) -> None:
         raise ValidationError("box radius must be a positive integer")
 
 
-def validate_precision_cap(precision_cap) -> None:
-    if not isinstance(precision_cap, int) or isinstance(precision_cap, bool) \
-            or precision_cap < PREC_START:
-        raise ValidationError(f"precision cap must be an integer >= {PREC_START} bits")
-
-
-def make_field(poly_coeffs, basis_rows, expected_disc: int | None = None,
-               precision_cap: int = PREC_CAP) -> NumberField:
+def make_field(poly_coeffs, basis_rows, expected_disc: int | None = None) -> NumberField:
     """Build and validate a totally real field with the given integral basis.
 
     Checks, all in integer arithmetic:
@@ -516,9 +510,10 @@ def make_field(poly_coeffs, basis_rows, expected_disc: int | None = None,
       polynomial, norm and index of L is then computed.
 
     The basis is trusted to span the maximal order; closure and discriminant
-    agreement are the verifiable parts of that claim.
+    agreement are the verifiable parts of that claim.  The field takes no
+    precision option: interval certification over it follows the fixed
+    128-to-8192-bit policy of ``intervals``.
     """
-    validate_precision_cap(precision_cap)
     f = poly_from_ints(poly_coeffs)
     n = f.degree
     if n < 2:
@@ -555,10 +550,10 @@ def make_field(poly_coeffs, basis_rows, expected_disc: int | None = None,
         raise ValidationError(f"discriminant mismatch: computed {disc}, expected {expected_disc}")
 
     table = _multiplication_table(f, scaled, inv, denom * det)
-    return NumberField(f, tuple(rows), disc, denom, roots, table, precision_cap=precision_cap)
+    return NumberField(f, tuple(rows), disc, denom, roots, table)
 
 
-def field_from_dict(data: dict, precision_cap: int = PREC_CAP) -> NumberField:
+def field_from_dict(data: dict) -> NumberField:
     """Field from a JSON-style description {"poly": [...], "basis": [[...]], ...}."""
     if not isinstance(data, dict) or "poly" not in data or "basis" not in data:
         raise ValidationError("field description needs 'poly' and 'basis'")
@@ -570,5 +565,4 @@ def field_from_dict(data: dict, precision_cap: int = PREC_CAP) -> NumberField:
     if expected_disc is not None and (not isinstance(expected_disc, int)
                                       or isinstance(expected_disc, bool)):
         raise ValidationError(f"expected_disc must be an integer, not {expected_disc!r}")
-    return make_field(data["poly"], basis, expected_disc=expected_disc,
-                      precision_cap=precision_cap)
+    return make_field(data["poly"], basis, expected_disc=expected_disc)

@@ -19,9 +19,8 @@ from fractions import Fraction
 from .composite import CompositeField, make_composite
 from .errors import ValidationError
 from .imquad import make_imq
-from .intervals import PREC_CAP
 from .intutil import is_squarefree, odd_square_free, v2
-from .numberfield import NumberField, make_field, validate_box_radius, validate_precision_cap
+from .numberfield import NumberField, make_field, validate_box_radius
 from .solver import solve
 
 # Generators of power integral bases, as coordinates (x, y, z) in the
@@ -70,7 +69,7 @@ def family_discriminant(a: int) -> int:
     return (a * a + 16) ** 3 // _DISC_DIV_BY_V2[k]
 
 
-def make_simplest_quartic(a: int, precision_cap: int = PREC_CAP) -> NumberField:
+def make_simplest_quartic(a: int) -> NumberField:
     """Field of the family member at parameter a, with full construction checks."""
     validate_parameter(a)
     k = min(v2(a), 3) if a % 2 == 0 else 0
@@ -78,7 +77,6 @@ def make_simplest_quartic(a: int, precision_cap: int = PREC_CAP) -> NumberField:
         family_poly_coeffs(a),
         _BASIS_BY_V2[k],
         expected_disc=family_discriminant(a),
-        precision_cap=precision_cap,
     )
 
 
@@ -112,11 +110,11 @@ def _cell_skip_reason(L: NumberField, d: int) -> str | None:
 
 
 def _solve_a_group(args) -> tuple[int, list[dict], float]:
-    a, d_values, box_radius, precision_cap = args
+    a, d_values, box_radius = args
     t0 = time.monotonic()
     rows: list[dict] = []
     try:
-        L = make_simplest_quartic(a, precision_cap=precision_cap)
+        L = make_simplest_quartic(a)
     except ValidationError as exc:
         for d in d_values:
             rows.append({"a": a, "d": d, "status": "SKIPPED", "reason": str(exc)})
@@ -143,7 +141,7 @@ def _solve_a_group(args) -> tuple[int, list[dict], float]:
 
 
 def verify_theorem_cq(a_max: int = 20, d_max: int = 30, box_radius: int = 20,
-                      jobs: int = 1, progress=None, precision_cap: int = PREC_CAP) -> dict:
+                      jobs: int = 1, progress=None) -> dict:
     """Solve the composite field for every a <= a_max and squarefree d <= d_max.
 
     Cells with invalid a, non-squarefree d, shared discriminant factors, or
@@ -155,9 +153,8 @@ def verify_theorem_cq(a_max: int = 20, d_max: int = 30, box_radius: int = 20,
                       ("box_radius", box_radius)):
         if not isinstance(val, int) or isinstance(val, bool) or val < 1:
             raise ValidationError(f"{name} must be a positive integer")
-    validate_precision_cap(precision_cap)
     d_values = list(range(1, d_max + 1))
-    tasks = [(a, d_values, box_radius, precision_cap) for a in range(1, a_max + 1)]
+    tasks = [(a, d_values, box_radius) for a in range(1, a_max + 1)]
     if jobs > 1 and len(tasks) > 1:
         import multiprocessing  # here, so serial callers skip loading the pool (about 0.8 MB RSS)
         with multiprocessing.Pool(min(jobs, len(tasks), os.cpu_count() or 1)) as pool:
@@ -195,7 +192,7 @@ def verify_theorem_cq(a_max: int = 20, d_max: int = 30, box_radius: int = 20,
     }
 
 
-def d3_partial_search(a: int, box_radius: int = 10, precision_cap: int = PREC_CAP) -> dict:
+def d3_partial_search(a: int, box_radius: int = 10) -> dict:
     """Bounded search in the ramified case d = 3 (never conclusive beyond the box).
 
     The y part has index at most 2, and its units of index 2 are swept only
@@ -203,8 +200,7 @@ def d3_partial_search(a: int, box_radius: int = 10, precision_cap: int = PREC_CA
     search is INCONCLUSIVE rather than NOT_MONOGENIC.
     """
     validate_box_radius(box_radius)
-    validate_precision_cap(precision_cap)
-    L = make_simplest_quartic(a, precision_cap=precision_cap)
+    L = make_simplest_quartic(a)
     K = make_composite(L, make_imq(3))
     report = solve(K, pib_source=olajos_generators(a), box_radius=box_radius)
     out = report.to_dict()

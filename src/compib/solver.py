@@ -59,13 +59,12 @@ at least 2 makes it INCONCLUSIVE.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .composite import CompositeField
 from .errors import InternalInvariantError, ValidationError
-from .intervals import int_combination
+from .intervals import PREC_START, int_combination
 from .intutil import floor_sqrt_fraction, is_prime
 from .numberfield import NumberField, check_int_coords, validate_box_radius
 
@@ -189,13 +188,12 @@ def solve_norm_unit_y1(L: NumberField, ytail) -> tuple[int, ...]:
         return hit
     neg = (0, *[-y for y in ytail])
     g = L.char_poly(neg)
-    prec = 128
-    emb = L.embeddings(prec)
+    emb = L.embeddings(PREC_START)
     cands: set[int] = set()
     for vals in emb.basis_vals:
         acc = int_combination(vals[1:], neg[1:])
-        lo = math.floor(Fraction(acc.lo, 1 << prec) - 1)
-        hi = math.ceil(Fraction(acc.hi, 1 << prec) + 1)
+        lo = (acc.lo >> PREC_START) - 1
+        hi = -(-acc.hi >> PREC_START) + 1
         cands.update(range(lo, hi + 1))
     out = L._unit_y1_cache[ytail] = tuple(sorted(t for t in cands if abs(g.evaluate(t)) == 1))
     return out

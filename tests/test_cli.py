@@ -50,18 +50,30 @@ def test_composite_index(capsys):
     assert data["index"] == abs(data["F"]) == 33086464
 
 
+def _octic_coords(scale):
+    x = f"{scale + 11},{-7 * scale // 3},{5 * scale // 2}"
+    y = f"{3 * scale // 2},{-scale - 13},{2 * scale + 1},{-9 * scale // 4}"
+    return ["composite-index", "--field", "tests/golden/octic_field.json", "--d", "2",
+            f"--x={x}", f"--y={y}"]
+
+
 def test_composite_index_precision_cap_exit_4(capsys):
-    # coordinates near 10^6 need 512 bits to certify eq1 and F: a 256-bit cap
-    # stops with exit code 4, the default cap certifies the identity
-    argv = ["composite-index", "--a", "2", "--d", "7", "--x", "734211,-998123,512077",
-            "--y", "612345,-877001,954321,-700000"]
-    code, _, err = run(capsys, "--precision-cap", "256", *argv)
+    # coordinates near 10^250 need more than the fixed 8192-bit cap to
+    # certify eq1 and F, so the command stops with exit code 4; near 10^150
+    # the cap suffices and the factors reproduce the exact index
+    code, _, err = run(capsys, *_octic_coords(10**250))
     assert code == 4
     assert "precision cap exceeded" in err
-    code, out, _ = run(capsys, *argv, "--json", "-")
+    code, out, _ = run(capsys, *_octic_coords(10**150), "--json", "-")
     assert code == 0
     data = json.loads(out)
     assert data["index"] == data["eq1"] * abs(data["eq2"]) * abs(data["F"]) > 0
+
+
+def test_precision_cap_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["--precision-cap", "8192", "check-example5"])
+    assert exc.value.code == 2
 
 
 def test_solve_json_deterministic(capsys):
@@ -121,16 +133,6 @@ def test_exit_code_validation():
     assert main(["solve", "--a", "2", "--d", "4", "--box", "5"]) == 3
     assert main(["solve", "--a", "2", "--d", "1", "--box", "5"]) == 3
     assert main(["index", "--a", "2", "--coords", "1,2"]) == 3
-
-
-def test_precision_cap_is_validated_up_front():
-    # a cap below the starting precision is bad input, whichever command reads it
-    assert main(["--precision-cap", "64", "solve", "--a", "2", "--d", "7", "--box", "2"]) == 3
-    assert main(["--precision-cap", "0", "index", "--a", "2", "--coords", "0,1,0"]) == 3
-    assert main(["--precision-cap", "0", "check-example5"]) == 3
-    assert main(["--precision-cap", "64", "d3-search", "--a", "1", "--box", "2"]) == 3
-    assert main(["--precision-cap", "64", "verify-cq", "--a-max", "1", "--d-max", "2",
-                 "--box", "2"]) == 3
 
 
 def test_exit_code_parse():

@@ -37,7 +37,8 @@ def _char_poly_reference(K, xs, ys) -> Poly:
     inner = resultant(f_lift, Poly(coeffs_x))
     if not isinstance(inner, Poly):
         inner = Poly([t_const(inner)])
-    g_lift = Poly([t_const(c) for c in K.M.min_poly_omega.coeffs])
+    M = K.M
+    g_lift = Poly([t_const(c) for c in (M.omega_norm, -M.omega_trace, 1)])
     outer = resultant(g_lift, inner)
     if not isinstance(outer, Poly):
         outer = Poly([Fraction(outer)])

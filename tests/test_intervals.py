@@ -51,11 +51,10 @@ def test_certify_integer():
     assert wide.certify_integer() is None
     narrow = RealInterval.from_fraction(Fraction(5, 1), 64)
     assert narrow.certify_integer() == 5
-    # narrow but containing no integer
+    # narrow but containing no integer: the promise of an integer is broken
     third = RealInterval.from_fraction(Fraction(1, 3), 64)
-    assert third.certify_integer() is None
     with pytest.raises(InternalInvariantError):
-        third.certify_integer(must=True)
+        third.certify_integer()
 
 
 def test_sqrt_int():
@@ -67,8 +66,14 @@ def test_sqrt_int():
 
 
 def test_escalate_raises_at_cap():
-    with pytest.raises(PrecisionError):
-        escalate(lambda prec: None, start=64, cap=256)
+    calls = []
+
+    def task(prec):
+        calls.append(prec)
+
+    with pytest.raises(PrecisionError, match="8192-bit"):
+        escalate(task)
+    assert calls == [128, 256, 512, 1024, 2048, 4096, 8192]
 
 
 def test_escalate_returns_first_success():
@@ -78,8 +83,8 @@ def test_escalate_returns_first_success():
         calls.append(prec)
         return prec if prec >= 256 else None
 
-    assert escalate(task, start=64, cap=1024) == 256
-    assert calls == [64, 128, 256]
+    assert escalate(task) == 256
+    assert calls == [128, 256]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -224,8 +224,6 @@ def test_grid_validation():
         verify_theorem_cq(jobs=0)
     with pytest.raises(ValidationError):
         verify_theorem_cq(a_max=1, d_max=1, box_radius=0)
-    with pytest.raises(ValidationError):
-        verify_theorem_cq(a_max=1, d_max=1, precision_cap=64)
 
 
 def test_d3_partial_search(fam1):
@@ -244,9 +242,6 @@ def test_d3_search_validates_before_any_field_build(monkeypatch):
     for bad in (0, -2, 2.5, 2.0, "3", True):
         with pytest.raises(ValidationError, match="box radius"):
             d3_partial_search(1, box_radius=bad)
-    for bad in (64, True, 256.0):
-        with pytest.raises(ValidationError, match="precision cap"):
-            d3_partial_search(1, box_radius=2, precision_cap=bad)
     assert builds == []
 
 
