@@ -18,11 +18,16 @@ rationals as strings), and optionally "expected_disc".
 Exit codes: 0 success, 1 failed verification, 2 usage error,
 3 validation error, 4 the fixed 8192-bit precision cap exceeded,
 5 internal invariant broken.
+
+Integers on the command line and in field files are read under Python's
+limit on decimal digits; the certified values a command prints are not
+limited.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -40,6 +45,19 @@ OCTIC_FIELD_DISC = 1957
 OCTIC_CHAR_POLY = [1, 0, 9, 0, 18, 0, 8, 0, 1]
 OCTIC_DISC_K = 980441344
 
+# the interpreter's digit limit for int(str), kept for reading input
+_INPUT_DIGITS = sys.get_int_max_str_digits()
+
+
+@contextlib.contextmanager
+def _int_digit_limit(limit: int):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
@@ -54,11 +72,11 @@ def _load_base_field(args):
     if args.a is not None:
         return make_simplest_quartic(args.a)
     try:
-        with open(args.field) as fh:
+        with open(args.field) as fh, _int_digit_limit(_INPUT_DIGITS):
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read field file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # bad JSON, or an integer past the digit limit
         raise ValidationError(f"field file is not valid JSON: {exc}")
     return field_from_dict(data)
 
@@ -302,7 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _int_digit_limit(0):
+            return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

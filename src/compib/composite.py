@@ -12,8 +12,9 @@ The index of alpha factors exactly as
 where I_rel is the relative index form evaluated at X_i = x_i + omega*y_i and
 F collects the cross differences between the two complex embedding families.
 ``composite_index`` computes the left side from the discriminant of an exact
-characteristic polynomial; the three factors are certified independently with
-interval arithmetic, which gives a nontrivial identity to test end to end.
+characteristic polynomial R of degree 2n, the 2n-square Hankel determinant of
+R's power sums; the three factors are certified independently with interval
+arithmetic, which gives a nontrivial identity to test end to end.
 
 For the characteristic polynomial the relative norm to L is taken first:
 N_{K/L}(t - alpha) = t^2 - (2*beta + s1*gamma)*t + (beta^2 + s1*beta*gamma

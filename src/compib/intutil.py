@@ -15,19 +15,26 @@ def v2(m: int) -> int:
 
 
 def is_squarefree(m: int) -> bool:
-    """True iff no prime square divides m. Trial division up to sqrt(m); m >= 1."""
+    """True iff no prime square divides m; m >= 1.
+
+    Trial division runs only while p^3 <= m for the cofactor m left so far.
+    That cofactor then has no prime factor below p, so it has at most two,
+    and it is squarefree unless it is the square of a prime.
+    """
     if m < 1:
         raise ValidationError("squarefree test expects m >= 1")
     if m % 4 == 0:
         return False
+    if m % 2 == 0:
+        m //= 2
     p = 3
-    while p * p <= m:
+    while p * p * p <= m:
         if m % (p * p) == 0:
             return False
         if m % p == 0:
             m //= p
         p += 2
-    return True
+    return m == 1 or exact_sqrt(m) is None
 
 
 def odd_square_free(m: int) -> bool:

@@ -22,10 +22,12 @@ characteristic polynomial: that of the integer matrix of multiplication by
 alpha in the basis, read off the table.  Its power traces Tr(alpha^k),
 k = 1..n, give the coefficients by Newton's identities (Le Verrier's
 method), each division by k exact.  The norm is its constant term up to
-sign, the index comes from its discriminant, and the cross-sum product from
-its resultant with its mirror.  No resultant over polynomial entries is
-taken in L; ``composite`` keeps that route for K = L*M, with the unscaling
-and index tail defined here.
+sign, the index comes from its discriminant (``polynomials.discriminant``,
+the n-square Hankel determinant of the power sums), and the cross-sum
+product from its resultant with its mirror.  No resultant over polynomial
+entries is taken in L; ``composite`` keeps that route for K = L*M, with the
+unscaling and index tail defined here.  ``make_field`` takes disc(f) by the
+same Hankel route.
 """
 
 from __future__ import annotations

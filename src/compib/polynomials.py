@@ -4,7 +4,9 @@ Coefficients are stored dense in ascending order (constant term first, the
 same layout the CLI uses for field descriptions).  Resultants go through the
 Sylvester matrix (rows of the first argument first) with Bareiss fraction-free
 elimination, so entries may themselves be polynomials; every division along
-the way is exact and asserted.
+the way is exact and asserted.  Discriminants take the same elimination on
+the smaller Hankel matrix of the roots' power sums, which Newton's identities
+give in integers.
 
 Real roots of squarefree integer polynomials live on one dyadic grid: every
 endpoint is an integer numerator over a power of two, from the Cauchy box
@@ -274,19 +276,40 @@ def resultant(p: Poly, q: Poly):
 
 
 def discriminant(p: Poly):
-    """(-1)^(n(n-1)/2) Res(p, p') / lc(p) for integer or rational p.
+    """lc(p)^(2n-2) * prod_{i<j} (r_i - r_j)^2 for integer or rational p.
 
-    The elimination runs on g = D*p, D the least common denominator:
-    disc(p) = disc(g) / D^(2n-2), an int when D = 1.
+    The elimination runs on g = D*p, D the least common denominator, with
+    leading coefficient c: disc(p) = disc(g) / D^(2n-2), an int when D = 1.
+    With V the Vandermonde matrix of the roots r_i of g, V^T V is the
+    Hankel matrix [p_(i+j)] of their power sums p_k, so
+    disc(g) = c^(2n-2) * det[p_(i+j)] (Cohen, GTM 138).  The c*r_i are the
+    roots of the monic integer polynomial c^(n-1) * g(t/c), so Newton's
+    identities give their power sums q_k = c^k * p_k, k <= 2n-2, in integer
+    steps.  Row i and column j of [q_(i+j)] carry c^i and c^j, so
+    det[q_(i+j)] = c^(n(n-1)) * det[p_(i+j)] = c^((n-1)(n-2)) * disc(g).
+    The division by c^((n-1)(n-2)) is exact because disc(g), a polynomial
+    in the coefficients of g with integer coefficients, is an integer.
     """
     n = p.degree
     if n < 1:
         raise ValidationError("discriminant needs degree >= 1")
     g, den = clear_denominators(p)
-    r = resultant(g, g.derivative())
-    if (n * (n - 1) // 2) % 2:
-        r = -r
-    disc = _exact_div_elem(r, g.lc)
+    c = g.lc
+    # a[k] is the coefficient of t^(n-k) in c^(n-1) * g(t/c), k = 1..n
+    a = [1]
+    scale = 1
+    for k in range(1, n + 1):
+        a.append(scale * g.coeffs[n - k])
+        scale *= c
+    # Newton: q_k + a_1*q_(k-1) + ... + a_(k-1)*q_1 + k*a_k = 0, a_k = 0 past n
+    q = [n]
+    for k in range(1, 2 * n - 1):
+        s = k * a[k] if k <= n else 0
+        for i in range(max(1, k - n), k):
+            s += a[k - i] * q[i]
+        q.append(-s)
+    hankel = [q[i:i + n] for i in range(n)]
+    disc = _exact_div_elem(_bareiss_det(hankel, 0), c ** ((n - 1) * (n - 2)))
     return disc if den == 1 else Fraction(disc, den ** (2 * n - 2))
 
 

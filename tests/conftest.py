@@ -1,10 +1,11 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from compib import make_composite, make_field, make_imq, make_simplest_quartic
-from compib.numberfield import index_from_char_resultant, unscale_char_poly
+from compib.numberfield import unscale_char_poly
 from compib.polynomials import Poly, clear_denominators, resultant
 
 IDENTITY4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -57,6 +58,18 @@ def fraction_det(rows) -> Fraction:
 # -- the resultant route, kept as the reference for L's invariants ----------------
 
 
+def reference_discriminant(p: Poly):
+    """(-1)^(n(n-1)/2) * Res(g, g') / lc(g) / D^(2n-2) for g = D*p integral:
+    the Sylvester-matrix discriminant, independent of the library's Hankel
+    route."""
+    n = p.degree
+    g, den = clear_denominators(p)
+    r = resultant(g, g.derivative())
+    disc, rem = divmod(-r if (n * (n - 1) // 2) % 2 else r, g.lc)
+    assert rem == 0
+    return disc if den == 1 else Fraction(disc, den ** (2 * n - 2))
+
+
 def reference_char_resultant(L, coords):
     """(R, D) with R(s) = Res_x(f, s - D*h(x)) for h the power coordinates of
     alpha and D their denominator: the monic integer characteristic
@@ -84,7 +97,12 @@ def reference_norm(L, coords) -> int:
 
 
 def reference_index(L, xs) -> int:
-    return index_from_char_resultant(*reference_char_resultant(L, (0, *xs)), L.disc)
+    """sqrt(disc(char_alpha) / D_L), with disc(char_alpha) = disc(R) / D^(n(n-1))."""
+    r, d = reference_char_resultant(L, (0, *xs))
+    q, rem = divmod(reference_discriminant(r), d ** (L.n * (L.n - 1)) * L.disc)
+    s = math.isqrt(q)
+    assert rem == 0 and s * s == q
+    return s
 
 
 def reference_cross_sum_square(L, coords) -> int:

@@ -21,7 +21,7 @@ from compib.polynomials import Poly, discriminant
 from compib.simplest_quartic import (OLAJOS_A2, OLAJOS_A4,
                                      family_poly_coeffs, validate_parameter)
 
-from conftest import fraction_det
+from conftest import fraction_det, reference_discriminant
 
 IDENTITY4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
@@ -106,8 +106,8 @@ def test_criterion_4_factorization_identity():
             fac = K.factorization(xs, ys)
             assert fac["eq1"] >= 0
             assert fac["index"] == fac["eq1"] * abs(fac["eq2"]) * abs(fac["F"])
-            # interval-certified route against the exact discriminant route
-            assert discriminant(K.char_poly(xs, ys)) == fac["index"] ** 2 * K.disc
+            # interval-certified route against the Sylvester discriminant reference
+            assert reference_discriminant(K.char_poly(xs, ys)) == fac["index"] ** 2 * K.disc
             total += 1
     assert total >= 1000 and len(pairs) >= 5
     print(f"criterion 4: PASS  {total} elements across {len(pairs)} fields")

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -68,6 +69,41 @@ def test_composite_index_precision_cap_exit_4(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["index"] == data["eq1"] * abs(data["eq2"]) * abs(data["F"]) > 0
+
+
+def test_composite_index_prints_values_past_the_digit_limit(capsys):
+    # near 10^200 the certified values have more than Python's default 4300
+    # digits; they print in full, as text and as JSON, with exit code 0
+    argv = _octic_coords(10**200)
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--json", "-")
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        data = json.loads(out)
+        lines = dict(line.split(" = ") for line in text.splitlines())
+        values = {k: int(v.split()[0]) for k, v in lines.items()}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert data["index"] >= 10**limit
+    assert data["index"] == data["eq1"] * abs(data["eq2"]) * abs(data["F"])
+    assert values == {k: data[k] for k in ("index", "eq1", "eq2", "F")}
+
+
+def test_input_keeps_the_digit_limit(capsys, tmp_path):
+    # reading coordinates and field files keeps Python's guard on int(str)
+    limit = sys.get_int_max_str_digits()
+    huge = "1" * (limit + 1)
+    with pytest.raises(SystemExit) as exc:
+        main(["index", "--a", "2", "--coords", f"{huge},0,1"])
+    assert exc.value.code == 2
+    path = tmp_path / "field.json"
+    path.write_text(f'{{"poly": [{huge}, 0, 1], "basis": [["1", "0"], ["0", "1"]]}}')
+    code, _, err = run(capsys, "field-info", "--field", str(path))
+    assert code == 3 and "digits" in err
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_precision_cap_flag_is_gone():

@@ -8,11 +8,11 @@ from compib import make_field
 from compib.composite import make_composite
 from compib.errors import CoprimalityError, ValidationError
 from compib.imquad import make_imq
-from compib.polynomials import Poly, discriminant, resultant
+from compib.polynomials import Poly, resultant
 from compib.simplest_quartic import make_simplest_quartic
 from compib.solver import bounds_hold, solve_norm_unit_y1
 
-from conftest import IDENTITY4, OCTIC_POLY, reference_norm
+from conftest import IDENTITY4, OCTIC_POLY, reference_discriminant, reference_norm
 
 
 def _char_poly_reference(K, xs, ys) -> Poly:
@@ -155,7 +155,7 @@ def test_coordinates_must_be_integers(call):
 def test_factorization_identity_large_coordinates(bound, top_prec):
     # coordinates of magnitude about the bound over the octic example's base
     # field (d = 1), L_2 (d = 7) and L_8 (d = 3): the identity, eq2 against
-    # the resultant reference, and the exact discriminant route; eq1 and F
+    # the resultant reference, and the Sylvester discriminant reference; eq1 and F
     # escalate to top_prec bits to certify these values
     rng = random.Random(bound)
     for L, d in ((make_field(OCTIC_POLY, IDENTITY4), 1), (make_simplest_quartic(2), 7),
@@ -168,5 +168,5 @@ def test_factorization_identity_large_coordinates(bound, top_prec):
             fac = K.factorization(xs, ys)
             assert fac["index"] == fac["eq1"] * abs(fac["eq2"]) * abs(fac["F"])
             assert fac["eq2"] == reference_norm(L, ys)
-            assert discriminant(K.char_poly(xs, ys)) == fac["index"] ** 2 * K.disc
+            assert reference_discriminant(K.char_poly(xs, ys)) == fac["index"] ** 2 * K.disc
         assert max(L._emb) == top_prec

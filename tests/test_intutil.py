@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compib.errors import ValidationError
@@ -23,6 +24,17 @@ def test_is_squarefree():
     assert not is_squarefree(4)
     assert not is_squarefree(18)
     assert not is_squarefree(49)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=10**16 - 1))
+@example(10000019**2)
+@example(10000019 * 10000079)
+@example(2 * 10000019**2)
+def test_is_squarefree_matches_factorint(m):
+    # trial division stops at the cube root; the cofactor is then 1, a prime,
+    # a product of two distinct primes or a prime square
+    assert is_squarefree(m) == all(e == 1 for e in sympy.factorint(m).values())
 
 
 def test_odd_square_free():

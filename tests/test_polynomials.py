@@ -18,7 +18,7 @@ from compib.polynomials import (IsolatedRoot, Poly, _sturm_chain_int,
                                 isolate_real_roots, poly_mod_monic, resultant)
 from compib.simplest_quartic import make_simplest_quartic, validate_parameter
 
-from conftest import IDENTITY4, OCTIC_POLY, QUINTIC_POLY
+from conftest import IDENTITY4, OCTIC_POLY, QUINTIC_POLY, reference_discriminant
 
 X = sympy.Symbol("x")
 
@@ -194,6 +194,37 @@ def test_rational_discriminant_matches_sympy(coeffs):
     # the denominators are cleared before the elimination
     p = Poly(coeffs)
     assert discriminant(p) == sympy.discriminant(_to_sympy(p).as_expr(), X)
+
+
+big_ints = st.integers(min_value=-10**30, max_value=10**30)
+
+
+@st.composite
+def disc_polys(draw):
+    """(p, square) with p of degree 1..8, monic or not, integral or rational;
+    when square, p has a repeated factor and discriminant 0."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    square = n >= 2 and draw(st.booleans())
+    k = draw(st.integers(min_value=1, max_value=n // 2)) if square else 0
+    rational = draw(st.booleans())
+    dens = st.integers(min_value=1, max_value=10**30) if rational else st.just(1)
+    parts = []
+    for deg in ((k, n - 2 * k) if square else (n,)):
+        lead = 1 if draw(st.booleans()) else draw(big_ints.filter(bool))
+        coeffs = draw(st.lists(big_ints, min_size=deg, max_size=deg)) + [lead]
+        parts.append(Poly([Fraction(c, draw(dens)) if rational else c for c in coeffs]))
+    p = parts[0] * parts[0] * parts[1] if square else parts[0]
+    return p, square
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(disc_polys())
+def test_discriminant_matches_sylvester_reference(case):
+    # the Hankel route against the Sylvester route it replaced
+    p, square = case
+    disc = discriminant(p)
+    assert disc == reference_discriminant(p)
+    assert disc == 0 or not square
 
 
 def test_sturm_counts():
