@@ -5,6 +5,15 @@ A ``RealInterval`` stores integer endpoints ``lo <= hi`` at a fixed scale
 rounding: the true value is always contained.  A value known in advance to
 be an integer is resolved exactly once the enclosure has width < 1/2.
 
+The product of two intervals is the nine-case product of interval analysis
+(Moore, Kearfott and Cloud, 2009): the signs of the four endpoints name the
+two endpoint products that bound the hull, and only when both factors
+straddle zero are two candidates compared for each end.  The endpoints are
+the same as the min and max of all four products.  The product at scale
+``2**-2prec`` goes back to ``2**-prec`` by shifts that round outward,
+``lo >> prec`` and ``-((-hi) >> prec)``.  Every result goes through the one
+constructor, which checks ``lo <= hi``.
+
 Precision policy, fixed for the whole library: ``escalate`` evaluates at
 ``PREC_START`` = 128 bits and doubles the precision on every failed integer
 certification, up to ``PREC_CAP`` = 8192 bits; past the cap a
@@ -51,13 +60,10 @@ class RealInterval:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check(self, other: RealInterval) -> None:
-        if self.prec != other.prec:
-            raise InternalInvariantError("mixed-precision interval arithmetic")
-
     def __add__(self, other):
-        if isinstance(other, RealInterval):
-            self._check(other)
+        if type(other) is RealInterval:
+            if other.prec != self.prec:
+                raise InternalInvariantError("mixed-precision interval arithmetic")
             return RealInterval(self.lo + other.lo, self.hi + other.hi, self.prec)
         if isinstance(other, int):
             k = other << self.prec
@@ -81,12 +87,33 @@ class RealInterval:
 
     def __mul__(self, other):
         p = self.prec
-        if isinstance(other, RealInterval):
-            self._check(other)
+        if type(other) is RealInterval:
+            if other.prec != p:
+                raise InternalInvariantError("mixed-precision interval arithmetic")
             a, b, c, d = self.lo, self.hi, other.lo, other.hi
+            # the sign pattern names the endpoint products that bound the hull
+            if a >= 0:
+                if c >= 0:
+                    lo, hi = a * c, b * d
+                elif d <= 0:
+                    lo, hi = b * c, a * d
+                else:
+                    lo, hi = b * c, b * d
+            elif b <= 0:
+                if c >= 0:
+                    lo, hi = a * d, b * c
+                elif d <= 0:
+                    lo, hi = b * d, a * c
+                else:
+                    lo, hi = a * d, a * c
+            elif c >= 0:
+                lo, hi = a * d, b * d
+            elif d <= 0:
+                lo, hi = b * c, a * c
+            else:
+                lo, hi = min(a * d, b * c), max(a * c, b * d)
             # products live at scale 2^(2p); shift back with outward rounding
-            cands = (a * c, a * d, b * c, b * d)
-            return RealInterval(min(cands) >> p, _ceil_div(max(cands), 1 << p), p)
+            return RealInterval(lo >> p, -((-hi) >> p), p)
         if isinstance(other, int):
             if other >= 0:
                 return RealInterval(self.lo * other, self.hi * other, p)

@@ -32,6 +32,7 @@ same Hankel route.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -234,22 +235,71 @@ def _irreducible_mod_p(f: Poly, p: int) -> bool:
     return True
 
 
-def _check_irreducible(f: Poly) -> None:
+# the divisor scans of the constant term stop at this bound; beyond it, and
+# whenever no listed prime certifies, irreducibility is read off the roots
+_DIVISOR_SCAN_MAX = 10**6
+
+_MOD_P_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+                 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139,
+                 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199)
+
+
+def _check_irreducible(f: Poly) -> bool:
+    """True when the cheap routes certify f irreducible, False when undecided.
+
+    A factor they find is refused at once.  For n <= 4 with |f(0)| at most
+    ``_DIVISOR_SCAN_MAX`` the divisor scans decide; for n > 4 an irreducible
+    reduction mod a listed prime certifies.
+    """
     n = f.degree
-    if _has_rational_root(f):
-        raise ValidationError("defining polynomial is reducible (rational root)")
-    if n <= 3:
-        return
-    if n == 4:
-        if _quartic_has_quadratic_factor(f):
-            raise ValidationError("defining polynomial is reducible (quadratic factor)")
-        return
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-              71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139,
-              149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199):
-        if _irreducible_mod_p(f, p):
-            return
-    raise ValidationError("irreducibility unverified for degree > 4 polynomial")
+    if abs(f.coeffs[0]) <= _DIVISOR_SCAN_MAX:
+        if _has_rational_root(f):
+            raise ValidationError("defining polynomial is reducible (rational root)")
+        if n <= 3:
+            return True
+        if n == 4:
+            if _quartic_has_quadratic_factor(f):
+                raise ValidationError("defining polynomial is reducible (quadratic factor)")
+            return True
+    return n > 4 and any(_irreducible_mod_p(f, p) for p in _MOD_P_PRIMES)
+
+
+def _root_subset_factor(f: Poly, roots: list[IsolatedRoot]) -> int:
+    """Degree of a monic integer factor of f of degree <= n/2, or 0 if none.
+
+    The roots of such a factor are k of f's n simple real roots, and its
+    coefficients are their signed elementary symmetric functions, which are
+    integers.  So each k-subset's enclosures are refined (on copies, leaving
+    the field's roots untouched) until every coefficient is narrower than 1;
+    a coefficient enclosure holding no integer rules the subset out, and the
+    one candidate left is decided by exact division.
+    """
+    n = f.degree
+    pending = [s for k in range(1, n // 2 + 1) for s in itertools.combinations(range(n), k)]
+    roots = [copy.copy(r) for r in roots]
+    prec = 32
+    while pending:
+        ivs = [r.to_interval(prec) for r in roots]
+        one = 1 << prec
+        undecided = []
+        for subset in pending:
+            coeffs = [RealInterval(one, one, prec)]
+            for i in subset:
+                r = ivs[i]
+                coeffs = ([-(r * coeffs[0])]
+                          + [coeffs[j - 1] - r * coeffs[j] for j in range(1, len(coeffs))]
+                          + [coeffs[-1]])
+            if any(c.hi - c.lo >= one for c in coeffs):
+                undecided.append(subset)
+                continue
+            ranges = [c.integer_range() for c in coeffs]
+            if any(klo != khi for klo, khi in ranges):
+                continue
+            if poly_mod_monic(f, Poly([klo for klo, _ in ranges])).is_zero():
+                return len(subset)
+        pending = undecided
+        prec *= 2
+    return 0
 
 
 class _Embeddings:
@@ -497,7 +547,10 @@ def make_field(poly_coeffs, basis_rows, expected_disc: int | None = None) -> Num
     Checks, all in integer arithmetic:
 
     - the defining polynomial f is monic with integer coefficients, and
-      irreducible;
+      irreducible: for n <= 4 with |f(0)| <= 10^6 by scanning the divisors
+      of f(0), for n > 4 by an irreducible reduction mod a small prime, and
+      otherwise by testing every subset of at most n/2 of the isolated real
+      roots for a monic integer factor;
     - f is totally real: its Sturm chain isolates n real roots;
     - the basis starts at 1 and its rows are invertible: with denom the
       least common denominator and M = denom * basis, fraction-free
@@ -522,10 +575,14 @@ def make_field(poly_coeffs, basis_rows, expected_disc: int | None = None) -> Num
         raise ValidationError("defining polynomial must have degree >= 2")
     if f.lc != 1:
         raise ValidationError("defining polynomial must be monic")
-    _check_irreducible(f)
+    certified = _check_irreducible(f)
     roots = isolate_real_roots(f)
     if len(roots) != n:
         raise ValidationError("defining polynomial is not totally real")
+    if not certified:
+        k = _root_subset_factor(f, roots)
+        if k:
+            raise ValidationError(f"defining polynomial is reducible (factor of degree {k})")
 
     rows = []
     for row in basis_rows:

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -95,3 +96,65 @@ def test_int_combination_contains(terms):
     coeffs = [c for _, c in terms]
     acc = int_combination(vals, coeffs)
     assert acc.contains_fraction(sum(c * q for q, c in terms))
+
+
+# -- the product kernel against the four-product hull ---------------------------
+
+
+def four_product_hull(x, y):
+    """(min(c) >> p, ceil(max(c) / 2^p)) over the four endpoint products c."""
+    p = x.prec
+    c = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
+    return min(c) >> p, -(-max(c) // (1 << p))
+
+
+def assert_product_is_hull(x, y):
+    z = x * y
+    assert (z.lo, z.hi) == four_product_hull(x, y)
+    for u in (x.lo, x.hi):
+        for v in (y.lo, y.hi):
+            assert z.contains_fraction(Fraction(u * v, 1 << (2 * x.prec)))
+
+
+# endpoints at 64 bits with odd offsets, so that the shifts round; each sign
+# class has a zero endpoint and a point interval
+UNIT = 1 << 64
+SIGN_CLASSES = {
+    "nonneg": [(0, 0), (0, 6 * UNIT + 3), (2 * UNIT + 5, 9 * UNIT - 7), (5 * UNIT + 1,) * 2],
+    "nonpos": [(0, 0), (-5 * UNIT - 3, 0), (-7 * UNIT - 9, -3 * UNIT + 1), (-4 * UNIT - 1,) * 2],
+    "straddle": [(-3 * UNIT - 1, 5 * UNIT + 7), (-6 * UNIT + 5, 2 * UNIT - 3), (-1, 1)],
+}
+
+
+@pytest.mark.parametrize("sx", sorted(SIGN_CLASSES))
+@pytest.mark.parametrize("sy", sorted(SIGN_CLASSES))
+def test_product_sign_cases_match_hull(sx, sy):
+    for a, b in SIGN_CLASSES[sx]:
+        for c, d in SIGN_CLASSES[sy]:
+            assert_product_is_hull(RealInterval(a, b, 64), RealInterval(c, d, 64))
+
+
+@st.composite
+def dyadic_pairs(draw):
+    prec = draw(st.sampled_from([64, 128]))
+    ends = st.integers(min_value=-(1 << (prec + 8)), max_value=1 << (prec + 8))
+    x = sorted(draw(st.lists(ends, min_size=2, max_size=2)))
+    y = sorted(draw(st.lists(ends, min_size=2, max_size=2)))
+    return RealInterval(*x, prec), RealInterval(*y, prec)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(dyadic_pairs())
+def test_product_matches_hull_on_random_endpoints(pair):
+    # random integer endpoints straddle zero often, unlike from_fraction points
+    x, y = pair
+    assert_product_is_hull(x, y)
+    s = x + y
+    assert (s.lo, s.hi) == (x.lo + y.lo, x.hi + y.hi)
+
+
+def test_mixed_precision_raises():
+    x, y = RealInterval(-1, 3, 64), RealInterval(-1, 3, 128)
+    for op in (operator.add, operator.mul, operator.sub):
+        with pytest.raises(InternalInvariantError, match="mixed-precision"):
+            op(x, y)

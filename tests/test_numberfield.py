@@ -1,20 +1,22 @@
 import itertools
 import math
+import operator
 import random
 import re
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from compib import numberfield
 from compib.errors import ValidationError
 from compib.intervals import PREC_START
 from compib.intutil import odd_square_free
-from compib.numberfield import (_irreducible_mod_p, _multiplication_table, _scaled_inverse,
-                                field_from_dict, make_field)
-from compib.polynomials import Poly, discriminant, poly_mod_monic
+from compib.numberfield import (_irreducible_mod_p, _multiplication_table, _root_subset_factor,
+                                _scaled_inverse, field_from_dict, make_field)
+from compib.polynomials import Poly, discriminant, isolate_real_roots, poly_mod_monic
 from compib.simplest_quartic import family_poly_coeffs, make_simplest_quartic
 
 from conftest import (CYCLO17_BASIS, CYCLO17_POLY, IDENTITY4, OCTIC_POLY, QUINTIC_POLY,
@@ -106,15 +108,63 @@ def test_make_field_validations():
         make_field([-2, 0, 1], ((1, 0), (0, Fraction(1, 2))))
 
 
-@pytest.mark.xfail(strict=True, raises=ValidationError,
-                   reason="irreducible, but reducible mod every prime: the mod-p test "
-                          "cannot certify it and the build is refused")
 def test_triquadratic_field_builds():
-    # Q(sqrt2, sqrt3, sqrt5): x^8 - 40x^6 + 352x^4 - 960x^2 + 576, 8 real roots
+    # Q(sqrt2, sqrt3, sqrt5): x^8 - 40x^6 + 352x^4 - 960x^2 + 576, 8 real roots;
+    # reducible mod every prime, so only the root subsets certify it
     f = [576, 0, -960, 0, 352, 0, -40, 0, 1]
     assert sympy.Poly(list(reversed(f)), sympy.Symbol("x")).is_irreducible
+    assert not any(_irreducible_mod_p(Poly(f), p) for p in (2, 3, 5, 7, 11, 13))
     L = make_field(f, [[int(i == j) for j in range(8)] for i in range(8)])
     assert L.n == 8
+
+
+def test_large_constant_term_skips_the_divisor_scans(monkeypatch):
+    # beyond the scan bound the divisors of f(0) are never listed: the scans
+    # took about a second on x^4 - 10^8 x^2 + (10^14 + 31)
+    def refuse(f):
+        raise AssertionError("divisor scan beyond the bound")
+
+    monkeypatch.setattr(numberfield, "_has_rational_root", refuse)
+    monkeypatch.setattr(numberfield, "_quartic_has_quadratic_factor", refuse)
+    f0 = 10**14 + 31
+    assert sympy.Poly([1, 0, -10**8, 0, f0], X).is_irreducible
+    assert make_field([f0, 0, -10**8, 0, 1], IDENTITY4).n == 4
+    # (x^2 - 2*10^6)(x^2 - 3*10^6) and (x - 10^7)(x^2 - 2) are refused by their factors
+    with pytest.raises(ValidationError, match="factor of degree 2"):
+        make_field([6 * 10**12, 0, -5 * 10**6, 0, 1], IDENTITY4)
+    with pytest.raises(ValidationError, match="factor of degree 1"):
+        make_field([2 * 10**7, -2, -10**7, 1], [[int(i == j) for j in range(3)] for i in range(3)])
+
+
+def _spread_poly(roots, shift):
+    """prod (x - 3*r) + shift: distinct integer roots 3 apart leave every local
+    extremum at least 9/4 from 0, so |shift| <= 2 keeps all roots real."""
+    f = Poly([1])
+    for r in roots:
+        f = f * Poly([-3 * r, 1])
+    return f + Poly([shift])
+
+
+def _spread_polys(max_roots):
+    return st.builds(
+        _spread_poly,
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=max_roots,
+                 unique=True),
+        st.integers(min_value=-2, max_value=2))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(_spread_polys(8).filter(lambda f: f.degree >= 2),
+                 st.builds(operator.mul, _spread_polys(4), _spread_polys(4))))
+def test_root_subsets_decide_irreducibility_like_sympy(f):
+    # totally real of degree 2..8: one spread polynomial, or a product of two
+    try:
+        roots = isolate_real_roots(f)
+    except ValidationError:
+        assume(False)       # the two factors share a root: f is not squarefree
+    assert len(roots) == f.degree
+    expect = sympy.Poly(list(reversed(f.coeffs)), X).is_irreducible
+    assert (_root_subset_factor(f, roots) == 0) == expect
 
 
 def test_sqrt2_field():
