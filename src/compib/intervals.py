@@ -145,11 +145,6 @@ class RealInterval:
     def mid(self) -> Fraction:
         return Fraction(self.lo + self.hi, 1 << (self.prec + 1))
 
-    def contains_fraction(self, fr: Fraction) -> bool:
-        num = fr.numerator << self.prec
-        den = fr.denominator
-        return self.lo * den <= num <= self.hi * den
-
     def integer_range(self) -> tuple[int, int]:
         """Smallest and largest integers inside (empty when klo > khi)."""
         klo = _ceil_div(self.lo, 1 << self.prec)

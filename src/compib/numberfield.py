@@ -9,13 +9,17 @@ computes and offers exact characteristic polynomials, norms, and index
 computations, plus sweeps over coordinate boxes.
 
 A box sweep walks the box line by line along the last coordinate.  The
-difference forms of the index form are interval enclosures, built once per
-line and stepped by exact interval additions; their product only excludes
-the vectors whose index is certainly above the field's index limit, and
-every other vector's index is computed exactly.  A field carries no
-precision setting: the sweep works at ``PREC_START`` bits, and the
-certifications built on a field's embeddings climb the fixed ladder of
-``intervals.escalate``.
+difference forms of the index form are interval enclosures, stepped by
+exact interval additions along a line and from one line's start to the
+next; the absolute value of their product only excludes the vectors whose
+index is certainly above the field's index limit, and every other vector's
+index is computed exactly.  The index form is homogeneous of degree
+n(n-1)/2 and 2^(n(n-1)/2) is above the index limit, so only primitive
+vectors are tested: the multiples of the primitive zeros are the only
+other vectors in a table.  A sweep may walk at most ``MAX_BOX_VECTORS``
+vectors, checked before it starts.  A field carries no precision setting:
+the sweep works at ``PREC_START`` bits, and the certifications built on a
+field's embeddings climb the fixed ladder of ``intervals.escalate``.
 
 Every exact invariant of an integral element alpha comes from one
 characteristic polynomial: that of the integer matrix of multiplication by
@@ -239,9 +243,10 @@ def _irreducible_mod_p(f: Poly, p: int) -> bool:
 # whenever no listed prime certifies, irreducibility is read off the roots
 _DIVISOR_SCAN_MAX = 10**6
 
-_MOD_P_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-                 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139,
-                 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199)
+# only the first primes: an f that none of them certifies is usually
+# reducible mod every prime (a Galois group with no n-cycle), and the root
+# subsets decide it faster than the rest of a longer list would
+_MOD_P_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
 def _check_irreducible(f: Poly) -> bool:
@@ -446,36 +451,64 @@ class NumberField:
         per sign orbit (first nonzero coordinate positive), walked as lines
         along the last coordinate: a prefix whose first nonzero entry is
         positive runs t = -radius..radius, the zero prefix t = 1..radius.
-        Each difference form is built once per line and then stepped by one
-        exact interval addition of its last-coordinate difference.  Their
-        product P encloses I_L * sqrt(D_L), so a vector whose P^2 is
-        certainly above limit^2 * D_L is skipped; the interval only excludes,
-        and every other vector gets its exact ``element_index``.
+
+        The index form is homogeneous of degree e = n(n-1)/2, so I_L(g*y) =
+        g^e * I_L(y), and 2^e is above the index limit.  A vector that is
+        not primitive therefore belongs to the table exactly when its
+        primitive part is a zero: only primitive vectors (gcd of the
+        prefix's gcd and t equal to 1) are tested, and after the walk every
+        multiple of each primitive zero that fits in the box is added.
+
+        Each difference form is stepped by one exact interval addition of
+        its last-coordinate difference along a line, at every t.  A line
+        starts from the previous line's start plus one step in the last
+        prefix coordinate; the forms are built afresh only when an earlier
+        prefix coordinate carries or the start of t changes.  Their product
+        P encloses I_L * sqrt(D_L).  With m the endpoint of P nearest 0 (0
+        when P holds 0), a vector whose m^2 is certainly above
+        limit^2 * D_L is skipped, with no interval square; the interval only
+        excludes, and every other primitive vector gets its exact
+        ``element_index``.
         """
-        validate_box_radius(radius)
+        validate_box_radius(radius, self.n)
         hit = self._sweep_cache.get(radius)
         if hit is not None:
             return hit
         emb = self.embeddings(PREC_START)
         steps = [d[-1] for d in emb.diffs]
+        prefix_steps = [d[-2] for d in emb.diffs] if self.n > 2 else None
         limit = self._index_limit
         ceiling = (limit * limit * self.disc) << PREC_START
         found = []
+        line = last_key = None
         for prefix in itertools.product(range(-radius, radius + 1), repeat=self.n - 2):
             lead = next((v for v in prefix if v), 0)
             if lead < 0:
                 continue
             start = -radius if lead else 1
-            forms = [int_combination(d, (*prefix, start)) for d in emb.diffs]
+            key = prefix[:-1], start
+            if key == last_key:
+                # the previous line differs only by one in the last prefix coordinate
+                line = list(map(operator.add, line, prefix_steps))
+            else:
+                line = [int_combination(d, (*prefix, start)) for d in emb.diffs]
+            last_key = key
+            forms = line
+            g = math.gcd(*prefix)
             for t in range(start, radius + 1):
-                prod = functools.reduce(operator.mul, forms)
-                if (prod * prod).lo <= ceiling:
-                    xs = (*prefix, t)
-                    k = self.element_index(xs)
-                    if k <= limit:
-                        found.append((xs, k))
+                if g == 1 or math.gcd(g, t) == 1:
+                    prod = functools.reduce(operator.mul, forms)
+                    m = prod.lo if prod.lo > 0 else -prod.hi if prod.hi < 0 else 0
+                    if (m * m) >> PREC_START <= ceiling:
+                        xs = (*prefix, t)
+                        k = self.element_index(xs)
+                        if k <= limit:
+                            found.append((xs, k))
                 forms = list(map(operator.add, forms, steps))
-        # prefixes and t both ascend, so the vectors come in sorted order
+        for xs in [xs for xs, k in found if k == 0]:
+            top = max(map(abs, xs))
+            found.extend((tuple(g * x for x in xs), 0) for g in range(2, radius // top + 1))
+        found.sort()
         out = self._sweep_cache[radius] = tuple(found)
         return out
 
@@ -536,9 +569,20 @@ def _multiplication_table(f: Poly, scaled: list[list[int]], inv: list[list[int]]
     return tuple(tuple(zip(*c)) for c in cols)
 
 
-def validate_box_radius(box_radius) -> None:
+# the most canonical vectors a box sweep may walk
+MAX_BOX_VECTORS = 10**7
+
+
+def validate_box_radius(box_radius, n: int) -> None:
+    """Refuse a radius that is not a positive integer, or whose sweep in degree
+    n would walk more than ``MAX_BOX_VECTORS`` canonical vectors,
+    ((2R+1)^(n-1) - 1)/2."""
     if not isinstance(box_radius, int) or isinstance(box_radius, bool) or box_radius < 1:
         raise ValidationError("box radius must be a positive integer")
+    vectors = ((2 * box_radius + 1) ** (n - 1) - 1) // 2
+    if vectors > MAX_BOX_VECTORS:
+        raise ValidationError(f"box radius {box_radius} in degree {n} spans {vectors} vectors, "
+                              f"above the sweep limit of {MAX_BOX_VECTORS}")
 
 
 def make_field(poly_coeffs, basis_rows, expected_disc: int | None = None) -> NumberField:
@@ -548,7 +592,7 @@ def make_field(poly_coeffs, basis_rows, expected_disc: int | None = None) -> Num
 
     - the defining polynomial f is monic with integer coefficients, and
       irreducible: for n <= 4 with |f(0)| <= 10^6 by scanning the divisors
-      of f(0), for n > 4 by an irreducible reduction mod a small prime, and
+      of f(0), for n > 4 by an irreducible reduction mod a prime up to 19, and
       otherwise by testing every subset of at most n/2 of the isolated real
       roots for a monic integer factor;
     - f is totally real: its Sturm chain isolates n real roots;

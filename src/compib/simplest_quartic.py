@@ -153,6 +153,7 @@ def verify_theorem_cq(a_max: int = 20, d_max: int = 30, box_radius: int = 20,
                       ("box_radius", box_radius)):
         if not isinstance(val, int) or isinstance(val, bool) or val < 1:
             raise ValidationError(f"{name} must be a positive integer")
+    validate_box_radius(box_radius, 4)
     d_values = list(range(1, d_max + 1))
     tasks = [(a, d_values, box_radius) for a in range(1, a_max + 1)]
     if jobs > 1 and len(tasks) > 1:
@@ -199,7 +200,7 @@ def d3_partial_search(a: int, box_radius: int = 10) -> dict:
     inside the coordinate box, so the report stays BOX_LIMITED and a negative
     search is INCONCLUSIVE rather than NOT_MONOGENIC.
     """
-    validate_box_radius(box_radius)
+    validate_box_radius(box_radius, 4)
     L = make_simplest_quartic(a)
     K = make_composite(L, make_imq(3))
     report = solve(K, pib_source=olajos_generators(a), box_radius=box_radius)

@@ -27,6 +27,12 @@ CYCLO17_BASIS = (
 )
 
 
+def contains_fraction(iv, fr: Fraction) -> bool:
+    """Whether the interval iv holds the rational fr: lo/2^prec <= fr <= hi/2^prec."""
+    num = fr.numerator << iv.prec
+    return iv.lo * fr.denominator <= num <= iv.hi * fr.denominator
+
+
 def canonical_box(n, radius):
     """Nonzero vectors of the box |x_i| <= radius in Z^(n-1), one per sign orbit
     (first nonzero coordinate positive), in lexicographic order."""

@@ -171,6 +171,13 @@ def test_exit_code_validation():
     assert main(["index", "--a", "2", "--coords", "1,2"]) == 3
 
 
+def test_box_over_the_sweep_limit_exits_3(capsys):
+    # (401^3 - 1)/2 vectors: refused before any sweep starts
+    code, out, err = run(capsys, "solve", "--a", "1", "--d", "1", "--box", "200")
+    assert code == 3 and out == ""
+    assert err.startswith("error: box radius 200 in degree 4 spans 32240600 vectors")
+
+
 def test_exit_code_parse():
     with pytest.raises(SystemExit) as exc:
         main(["index", "--a", "2", "--coords", "1,x,3"])

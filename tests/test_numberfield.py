@@ -118,6 +118,25 @@ def test_triquadratic_field_builds():
     assert L.n == 8
 
 
+def test_mod_p_loop_is_capped(monkeypatch):
+    # the triquadratic octic fails every prime, so the loop tries its whole
+    # short list before the root subsets decide; the conductor-17 field
+    # certifies at p = 3
+    tried = []
+    mod_p = numberfield._irreducible_mod_p
+
+    def counted(f, p):
+        tried.append(p)
+        return mod_p(f, p)
+
+    monkeypatch.setattr(numberfield, "_irreducible_mod_p", counted)
+    make_field([576, 0, -960, 0, 352, 0, -40, 0, 1], [[int(i == j) for j in range(8)] for i in range(8)])
+    assert tried == [2, 3, 5, 7, 11, 13, 17, 19]
+    tried.clear()
+    _cyclo17()
+    assert tried == [2, 3]
+
+
 def test_large_constant_term_skips_the_divisor_scans(monkeypatch):
     # beyond the scan bound the divisors of f(0) are never listed: the scans
     # took about a second on x^4 - 10^8 x^2 + (10^14 + 31)
@@ -428,6 +447,8 @@ FIELD_KINDS = {
     "simplest-cubic": st.integers(min_value=-1, max_value=30).map(_simplest_cubic),
     "quartic": st.sampled_from([0] + [a for a in range(1, 13)
                                       if a != 3 and odd_square_free(a * a + 16)]).map(_quartic),
+    # the zeros (0, k, 0), k = 1..4, put multiples of a zero inside radius 4
+    "V4-power-basis": st.just((1, 0, -10, 0, 1)).map(_power_basis_field),
 }
 
 
@@ -437,6 +458,42 @@ FIELD_KINDS = {
 def test_sweep_matches_exact_index(kind, data, radius):
     L = data.draw(FIELD_KINDS[kind])
     assert L._small_index_table(radius) == _brute_index_table(L, radius)
+
+
+def test_sweep_tests_only_primitive_vectors(monkeypatch):
+    # I_L(g*y) = g^e * I_L(y) with 2^e above the index limit: only primitive
+    # vectors get an exact index, and the multiples in the table are exactly
+    # those of the primitive zeros
+    L = _power_basis_field((1, 0, -10, 0, 1))
+    tested = []
+    index = L.element_index
+
+    def counted(xs):
+        tested.append(xs)
+        return index(xs)
+
+    monkeypatch.setattr(L, "element_index", counted)
+    table = L._small_index_table(4)
+    assert tested and all(math.gcd(*xs) == 1 for xs in tested)
+    primitive_zeros = {xs for xs, k in table if k == 0 and math.gcd(*xs) == 1}
+    multiples = [(xs, k) for xs, k in table if math.gcd(*xs) > 1]
+    assert multiples == [((0, g, 0), 0) for g in (2, 3, 4)]
+    for xs, _ in multiples:
+        g = math.gcd(*xs)
+        assert tuple(x // g for x in xs) in primitive_zeros
+    monkeypatch.undo()
+    assert table == _brute_index_table(L, 4)
+
+
+def test_sweep_box_is_bounded_up_front():
+    # (13^7 - 1)/2 canonical vectors at radius 6 in degree 8: refused before
+    # any embedding is built; (11^7 - 1)/2 = 9,743,585 at radius 5 is allowed
+    L = _cyclo17()
+    with pytest.raises(ValidationError, match="31374258 vectors"):
+        L.zero_index_vectors(6)
+    assert L._emb == {} and L._sweep_cache == {}
+    numberfield.validate_box_radius(5, 8)
+    assert numberfield.MAX_BOX_VECTORS == 10**7
 
 
 # fields for the reference test, with the coordinate bound drawn over each

@@ -9,6 +9,7 @@ import sympy
 from compib import simplest_quartic
 from compib.errors import ValidationError
 from compib.intutil import odd_square_free
+from compib.numberfield import validate_box_radius
 from compib.polynomials import Poly, discriminant, isolate_real_roots
 from compib.simplest_quartic import (OLAJOS_A2, OLAJOS_A4, d3_partial_search,
                                      family_discriminant, family_poly_coeffs,
@@ -161,8 +162,22 @@ def test_one_sweep_serves_every_query(monkeypatch):
     with pytest.raises(ValidationError, match="exceeds the limit"):
         L.enumerate_bounded_index(L._index_limit + 1, 3)
     # one pass over the box: the interval step excludes every vector above the
-    # limit, and each of the others is confirmed exactly once
+    # limit, and each of the others is confirmed exactly once (the radius-3 box
+    # has no small-index vector that is not primitive, so none is left out)
     assert calls == small
+
+
+def test_box_bound_checked_before_any_field(monkeypatch):
+    # (273^3 - 1)/2 = 10,173,208 vectors at radius 136 is over the sweep
+    # limit; no family member is built before the refusal
+    def refuse(a):
+        raise AssertionError("field built before the box check")
+
+    monkeypatch.setattr(simplest_quartic, "make_simplest_quartic", refuse)
+    for run in (lambda: verify_theorem_cq(1, 1, 136), lambda: d3_partial_search(1, 136)):
+        with pytest.raises(ValidationError, match="10173208 vectors"):
+            run()
+    validate_box_radius(135, 4)
 
 
 def test_grid_small():
