@@ -9,17 +9,17 @@ computes and offers exact characteristic polynomials, norms, and index
 computations, plus sweeps over coordinate boxes.
 
 A box sweep walks the box line by line along the last coordinate.  The
-difference forms of the index form are interval enclosures, stepped by
-exact interval additions along a line and from one line's start to the
-next; the absolute value of their product only excludes the vectors whose
-index is certainly above the field's index limit, and every other vector's
-index is computed exactly.  The index form is homogeneous of degree
-n(n-1)/2 and 2^(n(n-1)/2) is above the index limit, so only primitive
-vectors are tested: the multiples of the primitive zeros are the only
-other vectors in a table.  A sweep may walk at most ``MAX_BOX_VECTORS``
-vectors, checked before it starts.  A field carries no precision setting:
-the sweep works at ``PREC_START`` bits, and the certifications built on a
-field's embeddings climb the fixed ladder of ``intervals.escalate``.
+difference forms of the index form are interval enclosures, built once per
+line and stepped by exact interval additions; the absolute value of their
+product only excludes the vectors whose index is certainly above the
+field's index limit, and every other vector's index is computed exactly.
+The index form is homogeneous of degree n(n-1)/2 and 2^(n(n-1)/2) is above
+the index limit, so only primitive vectors are tested: the multiples of the
+primitive zeros are the only other vectors in a table.  A sweep may walk
+at most ``MAX_BOX_VECTORS`` vectors, checked before it starts.  A field
+carries no precision setting: the sweep works at ``PREC_START`` bits, and
+the certifications built on a field's embeddings climb the fixed ladder of
+``intervals.escalate``.
 
 Every exact invariant of an integral element alpha comes from one
 characteristic polynomial: that of the integer matrix of multiplication by
@@ -243,10 +243,9 @@ def _irreducible_mod_p(f: Poly, p: int) -> bool:
 # whenever no listed prime certifies, irreducibility is read off the roots
 _DIVISOR_SCAN_MAX = 10**6
 
-# only the first primes: an f that none of them certifies is usually
-# reducible mod every prime (a Galois group with no n-cycle), and the root
-# subsets decide it faster than the rest of a longer list would
-_MOD_P_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+_MOD_P_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+                 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139,
+                 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199)
 
 
 def _check_irreducible(f: Poly) -> bool:
@@ -459,16 +458,13 @@ class NumberField:
         prefix's gcd and t equal to 1) are tested, and after the walk every
         multiple of each primitive zero that fits in the box is added.
 
-        Each difference form is stepped by one exact interval addition of
-        its last-coordinate difference along a line, at every t.  A line
-        starts from the previous line's start plus one step in the last
-        prefix coordinate; the forms are built afresh only when an earlier
-        prefix coordinate carries or the start of t changes.  Their product
-        P encloses I_L * sqrt(D_L).  With m the endpoint of P nearest 0 (0
-        when P holds 0), a vector whose m^2 is certainly above
-        limit^2 * D_L is skipped, with no interval square; the interval only
-        excludes, and every other primitive vector gets its exact
-        ``element_index``.
+        Each difference form is built once per line and then stepped by one
+        exact interval addition of its last-coordinate difference, at every
+        t.  Their product P encloses I_L * sqrt(D_L).  With m the endpoint
+        of P nearest 0 (0 when P holds 0), a vector whose m^2 is certainly
+        above limit^2 * D_L is skipped, with no interval square; the
+        interval only excludes, and every other primitive vector gets its
+        exact ``element_index``.
         """
         validate_box_radius(radius, self.n)
         hit = self._sweep_cache.get(radius)
@@ -476,24 +472,15 @@ class NumberField:
             return hit
         emb = self.embeddings(PREC_START)
         steps = [d[-1] for d in emb.diffs]
-        prefix_steps = [d[-2] for d in emb.diffs] if self.n > 2 else None
         limit = self._index_limit
         ceiling = (limit * limit * self.disc) << PREC_START
         found = []
-        line = last_key = None
         for prefix in itertools.product(range(-radius, radius + 1), repeat=self.n - 2):
             lead = next((v for v in prefix if v), 0)
             if lead < 0:
                 continue
             start = -radius if lead else 1
-            key = prefix[:-1], start
-            if key == last_key:
-                # the previous line differs only by one in the last prefix coordinate
-                line = list(map(operator.add, line, prefix_steps))
-            else:
-                line = [int_combination(d, (*prefix, start)) for d in emb.diffs]
-            last_key = key
-            forms = line
+            forms = [int_combination(d, (*prefix, start)) for d in emb.diffs]
             g = math.gcd(*prefix)
             for t in range(start, radius + 1):
                 if g == 1 or math.gcd(g, t) == 1:
@@ -573,12 +560,14 @@ def _multiplication_table(f: Poly, scaled: list[list[int]], inv: list[list[int]]
 MAX_BOX_VECTORS = 10**7
 
 
-def validate_box_radius(box_radius, n: int) -> None:
-    """Refuse a radius that is not a positive integer, or whose sweep in degree
-    n would walk more than ``MAX_BOX_VECTORS`` canonical vectors,
-    ((2R+1)^(n-1) - 1)/2."""
+def validate_box_radius(box_radius, n: int | None = None) -> None:
+    """Refuse a radius that is not a positive integer and, given a degree n,
+    one whose sweep would walk more than ``MAX_BOX_VECTORS`` canonical
+    vectors, ((2R+1)^(n-1) - 1)/2."""
     if not isinstance(box_radius, int) or isinstance(box_radius, bool) or box_radius < 1:
         raise ValidationError("box radius must be a positive integer")
+    if n is None:
+        return
     vectors = ((2 * box_radius + 1) ** (n - 1) - 1) // 2
     if vectors > MAX_BOX_VECTORS:
         raise ValidationError(f"box radius {box_radius} in degree {n} spans {vectors} vectors, "
@@ -592,7 +581,7 @@ def make_field(poly_coeffs, basis_rows, expected_disc: int | None = None) -> Num
 
     - the defining polynomial f is monic with integer coefficients, and
       irreducible: for n <= 4 with |f(0)| <= 10^6 by scanning the divisors
-      of f(0), for n > 4 by an irreducible reduction mod a prime up to 19, and
+      of f(0), for n > 4 by an irreducible reduction mod a small prime, and
       otherwise by testing every subset of at most n/2 of the isolated real
       roots for a monic integer factor;
     - f is totally real: its Sturm chain isolates n real roots;

@@ -347,7 +347,7 @@ def solve(K: CompositeField, pib_source="box", box_radius: int = 20,
     limitation is recorded in the report's assumptions and completeness
     fields.
     """
-    validate_box_radius(box_radius, K.L.n)
+    validate_box_radius(box_radius)
     L = K.L
     n = K.n
     bounds = theorem_main_bounds(K)

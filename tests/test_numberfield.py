@@ -118,25 +118,6 @@ def test_triquadratic_field_builds():
     assert L.n == 8
 
 
-def test_mod_p_loop_is_capped(monkeypatch):
-    # the triquadratic octic fails every prime, so the loop tries its whole
-    # short list before the root subsets decide; the conductor-17 field
-    # certifies at p = 3
-    tried = []
-    mod_p = numberfield._irreducible_mod_p
-
-    def counted(f, p):
-        tried.append(p)
-        return mod_p(f, p)
-
-    monkeypatch.setattr(numberfield, "_irreducible_mod_p", counted)
-    make_field([576, 0, -960, 0, 352, 0, -40, 0, 1], [[int(i == j) for j in range(8)] for i in range(8)])
-    assert tried == [2, 3, 5, 7, 11, 13, 17, 19]
-    tried.clear()
-    _cyclo17()
-    assert tried == [2, 3]
-
-
 def test_large_constant_term_skips_the_divisor_scans(monkeypatch):
     # beyond the scan bound the divisors of f(0) are never listed: the scans
     # took about a second on x^4 - 10^8 x^2 + (10^14 + 31)

@@ -159,6 +159,19 @@ def test_quartic_cell_is_complete_without_a_sweep():
     assert L._sweep_cache == {}
 
 
+def test_settled_cell_answers_beyond_the_sweep_limit():
+    # Q(zeta_13)^+ has degree 6 and no subfield of even degree >= 4, so with
+    # d = 2 the theorem settles the cell; the default box (5.8e7 vectors) is
+    # over the sweep limit but no sweep is needed
+    L = make_field([-1, 3, 6, -4, -5, 1, 1], [[int(i == j) for j in range(6)] for i in range(6)],
+                   expected_disc=13**5)
+    r = solve(make_composite(L, make_imq(2)), collect_traces=False)
+    assert (r.verdict, r.completeness, r.candidates_tested) == ("NOT_MONOGENIC", "COMPLETE", 0)
+    assert L._sweep_cache == {} and L._emb == {}
+    with pytest.raises(ValidationError, match="57928100 vectors"):
+        L.zero_index_vectors(20)
+
+
 def test_d3_is_inconclusive(fam1):
     K = make_composite(fam1, make_imq(3))
     r = solve(K, box_radius=5)
