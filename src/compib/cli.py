@@ -35,7 +35,6 @@ from .composite import make_composite
 from .errors import (InternalInvariantError, PrecisionError, ValidationError)
 from .imquad import make_imq
 from .numberfield import field_from_dict, make_field
-from .polynomials import Poly
 from .simplest_quartic import (d3_partial_search, make_simplest_quartic,
                                olajos_generators, verify_theorem_cq)
 from .solver import bounds_hold, solve
@@ -222,7 +221,6 @@ def _cmd_check_example5(args) -> int:
     K = make_composite(L, make_imq(1))
     xs, ys = (0, 0, 0, 0), (0, 1, 0, 0)
     char = K.char_poly(xs, ys)
-    expected = Poly(OCTIC_CHAR_POLY)
     ok = [int(c) for c in char.coeffs] == OCTIC_CHAR_POLY and all(
         c.denominator == 1 for c in char.coeffs)
     checks.append(("characteristic polynomial of i*xi matches the degree-8 target",

@@ -13,8 +13,9 @@ where I_rel is the relative index form evaluated at X_i = x_i + omega*y_i and
 F collects the cross differences between the two complex embedding families.
 ``composite_index`` computes the left side from the discriminant of an exact
 characteristic polynomial R of degree 2n, the 2n-square Hankel determinant of
-R's power sums; the three factors are certified independently with interval
-arithmetic, which gives a nontrivial identity to test end to end.
+R's power sums.  eq2 is L's exact norm of gamma, and eq1 and F are certified
+independently with interval arithmetic, which gives a nontrivial identity
+to test end to end.
 
 For the characteristic polynomial the relative norm to L is taken first:
 N_{K/L}(t - alpha) = t^2 - (2*beta + s1*gamma)*t + (beta^2 + s1*beta*gamma
@@ -81,12 +82,8 @@ class CompositeField:
         s1, s0 = M.omega_trace, M.omega_norm
         trace_poly = 2 * b + s1 * g
         norm_poly = poly_mod_monic(b * b + s1 * (b * g) + s0 * (g * g), L.f)
-        deg = max(trace_poly.degree, norm_poly.degree)
-        if deg <= 0:
-            # alpha lies in Q(omega): char of D*alpha is a quadratic power
-            a0 = trace_poly.coeffs[0] if trace_poly.coeffs else 0
-            b0 = norm_poly.coeffs[0] if norm_poly.coeffs else 0
-            return Poly([b0, -a0, 1]) ** self.n, d
+        # j = 0 always runs: alpha in Z[omega] gives (t^2 - a0*t + b0)^n
+        deg = max(trace_poly.degree, norm_poly.degree, 0)
         entries = []
         for j in range(deg + 1):
             tj = trace_poly.coeffs[j] if j <= trace_poly.degree else 0

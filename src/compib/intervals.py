@@ -17,7 +17,11 @@ constructor, which checks ``lo <= hi``.
 Precision policy, fixed for the whole library: ``escalate`` evaluates at
 ``PREC_START`` = 128 bits and doubles the precision on every failed integer
 certification, up to ``PREC_CAP`` = 8192 bits; past the cap a
-``PrecisionError`` is raised rather than ever rounding silently.
+``PrecisionError`` is raised rather than ever rounding silently.  Its users
+are ``eq1`` and ``F`` in ``composite`` and the y1 windows of
+``solver.solve_norm_unit_y1``.  The box sweep works at ``PREC_START`` only
+to exclude vectors, and the root-subset irreducibility test of
+``numberfield`` keeps its own ladder, from 32 bits with no cap.
 """
 
 from __future__ import annotations

@@ -14,21 +14,32 @@ def v2(m: int) -> int:
     return (m & -m).bit_length() - 1
 
 
+# trial division stops here; a fixed constant, like numberfield.MAX_BOX_VECTORS
+SQUAREFREE_TRIAL_MAX = 10**6
+
+
 def is_squarefree(m: int) -> bool:
     """True iff no prime square divides m; m >= 1.
 
     Trial division runs only while p^3 <= m for the cofactor m left so far.
     That cofactor then has no prime factor below p, so it has at most two,
-    and it is squarefree unless it is the square of a prime.
+    and it is squarefree unless it is the square of a prime.  Division stops
+    at p = ``SQUAREFREE_TRIAL_MAX``; a cofactor still above 10^18 there is
+    undecided, and raises ValidationError.
     """
     if m < 1:
         raise ValidationError("squarefree test expects m >= 1")
     if m % 4 == 0:
         return False
+    m0 = m
     if m % 2 == 0:
         m //= 2
     p = 3
     while p * p * p <= m:
+        if p >= SQUAREFREE_TRIAL_MAX:
+            raise ValidationError(
+                f"cannot decide whether {m0} is squarefree: a cofactor above 10^18 "
+                f"has no prime factor below {SQUAREFREE_TRIAL_MAX}")
         if m % (p * p) == 0:
             return False
         if m % p == 0:
@@ -41,8 +52,7 @@ def odd_square_free(m: int) -> bool:
     """True iff no odd prime square divides m (even squares are allowed)."""
     if m < 1:
         raise ValidationError("odd-squarefree test expects m >= 1")
-    m >>= v2(m)
-    return is_squarefree(m) if m > 1 else True
+    return is_squarefree(m >> v2(m))
 
 
 def exact_sqrt(m: int) -> int | None:

@@ -98,11 +98,8 @@ def index_from_char_resultant(r: Poly, denom: int, disc: int) -> int:
     disc(char_alpha) = disc(R) / denom^(m(m-1)) = index^2 * disc exactly;
     the index is zero exactly when alpha is not primitive.
     """
-    disc_r = discriminant(r)
-    if disc_r == 0:
-        return 0
     m = r.degree
-    disc_char, rem = divmod(disc_r, denom ** (m * (m - 1)))
+    disc_char, rem = divmod(discriminant(r), denom ** (m * (m - 1)))
     if rem:
         raise InternalInvariantError("discriminant scaling is not exact")
     q, rem = divmod(abs(disc_char), abs(disc))
@@ -309,7 +306,7 @@ def _root_subset_factor(f: Poly, roots: list[IsolatedRoot]) -> int:
 class _Embeddings:
     """Interval data for all real embeddings of a field at one precision."""
 
-    __slots__ = ("prec", "basis_vals", "diffs", "sums", "recip_sqrt_disc")
+    __slots__ = ("prec", "basis_vals", "diffs", "sums")
 
     def __init__(self, field: NumberField, prec: int):
         self.prec = prec
@@ -323,7 +320,6 @@ class _Embeddings:
             b1, b2 = self.basis_vals[j1], self.basis_vals[j2]
             self.diffs.append(tuple(b1[i] - b2[i] for i in range(1, field.n)))
             self.sums.append(tuple(b1[i] + b2[i] for i in range(1, field.n)))
-        self.recip_sqrt_disc = sqrt_int(field.disc, prec).recip()
 
 
 class NumberField:
@@ -435,9 +431,8 @@ class NumberField:
 
     def index_form_interval(self, xs, prec: int) -> RealInterval:
         """Enclosure of the signed index form at xs (true value is an integer)."""
-        emb = self.embeddings(prec)
-        prod = emb.recip_sqrt_disc
-        for diffs in emb.diffs:
+        prod = sqrt_int(self.disc, prec).recip()
+        for diffs in self.embeddings(prec).diffs:
             prod = prod * int_combination(diffs, xs)
         return prod
 

@@ -153,6 +153,9 @@ def verify_theorem_cq(a_max: int = 20, d_max: int = 30, box_radius: int = 20,
                       ("box_radius", box_radius)):
         if not isinstance(val, int) or isinstance(val, bool) or val < 1:
             raise ValidationError(f"{name} must be a positive integer")
+    # past these, a cell's squarefree test may be undecided
+    if d_max >= 10**18 or a_max > 10**9:
+        raise ValidationError("d_max must be below 10^18 and a_max at most 10^9")
     validate_box_radius(box_radius, 4)
     d_values = list(range(1, d_max + 1))
     tasks = [(a, d_values, box_radius) for a in range(1, a_max + 1)]

@@ -64,7 +64,7 @@ from fractions import Fraction
 
 from .composite import CompositeField
 from .errors import InternalInvariantError, ValidationError
-from .intervals import PREC_START, int_combination
+from .intervals import escalate, int_combination
 from .intutil import floor_sqrt_fraction, is_prime
 from .numberfield import NumberField, check_int_coords, validate_box_radius
 
@@ -179,8 +179,10 @@ def solve_norm_unit_y1(L: NumberField, ytail) -> tuple[int, ...]:
 
     The norm is g(y1) for g the characteristic polynomial of the negated
     tail, and any solution sits within distance 1 of some conjugate of the
-    negated tail, so only a few integers near the root enclosures need the
-    exact test.  The solutions are memoised on L by y-tail.
+    negated tail, so only the integers within 1 of the conjugates'
+    enclosures need the exact test.  The enclosures climb the ladder of
+    ``intervals.escalate`` until each is narrower than 1.  The solutions are
+    memoised on L by y-tail.
     """
     ytail = check_int_coords(ytail, L.n - 1)
     hit = L._unit_y1_cache.get(ytail)
@@ -188,13 +190,17 @@ def solve_norm_unit_y1(L: NumberField, ytail) -> tuple[int, ...]:
         return hit
     neg = (0, *[-y for y in ytail])
     g = L.char_poly(neg)
-    emb = L.embeddings(PREC_START)
-    cands: set[int] = set()
-    for vals in emb.basis_vals:
-        acc = int_combination(vals[1:], neg[1:])
-        lo = (acc.lo >> PREC_START) - 1
-        hi = -(-acc.hi >> PREC_START) + 1
-        cands.update(range(lo, hi + 1))
+
+    def task(prec):
+        cands: set[int] = set()
+        for vals in L.embeddings(prec).basis_vals:
+            acc = int_combination(vals[1:], neg[1:])
+            if acc.hi - acc.lo >= 1 << prec:
+                return None
+            cands.update(range((acc.lo >> prec) - 1, -(-acc.hi >> prec) + 2))
+        return cands
+
+    cands = escalate(task)
     out = L._unit_y1_cache[ytail] = tuple(sorted(t for t in cands if abs(g.evaluate(t)) == 1))
     return out
 
@@ -277,13 +283,16 @@ class SolverReport:
 # -- candidate assembly ---------------------------------------------------------
 
 
+def _sign_orbit_rep(v) -> tuple[int, ...]:
+    """v or -v, whichever has its first nonzero entry positive."""
+    lead = next((c for c in v if c), 0)
+    return tuple(-c for c in v) if lead < 0 else tuple(v)
+
+
 def _canonical_candidate(xs_tail, ys) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Sign-orbit representative: first nonzero of (x_2..x_n, y_1..y_n) positive."""
-    w = (*xs_tail, *ys)
-    lead = next((v for v in w if v != 0), 0)
-    if lead < 0:
-        return tuple(-v for v in xs_tail), tuple(-v for v in ys)
-    return tuple(xs_tail), tuple(ys)
+    w = _sign_orbit_rep((*xs_tail, *ys))
+    return w[:len(xs_tail)], w[len(xs_tail):]
 
 
 def _signed(vectors) -> list[tuple[int, ...]]:
@@ -304,14 +313,25 @@ def _validated_pib(L: NumberField, vectors) -> tuple[tuple[int, ...], ...]:
     hit = L._pib_cache.get(vectors)
     if hit is not None:
         return hit
-    seen = set()
     for v in vectors:
         if L.element_index(v) != 1:
             raise ValidationError(f"supplied vector {list(v)} does not generate a power integral basis of L")
-        lead = next((c for c in v if c != 0), 0)
-        seen.add(tuple(-c for c in v) if lead < 0 else v)
-    out = L._pib_cache[vectors] = tuple(sorted(seen))
+    out = L._pib_cache[vectors] = tuple(sorted({_sign_orbit_rep(v) for v in vectors}))
     return out
+
+
+_Y_VANISHES = "the y-part bound is below 1, forcing the y-part index form to vanish"
+
+
+def _report(bounds: BoundsRecord, verdict: str, completeness: str, assumptions: list[str],
+            traces: list[CandidateTrace], collect_traces: bool) -> SolverReport:
+    """The report over the tested candidates, whose accepted ones are the generators."""
+    return SolverReport(
+        verdict=verdict, completeness=completeness, regime=bounds.regime, d=bounds.d,
+        bounds=bounds, assumptions=assumptions, candidates_tested=len(traces),
+        generators=[Generator(t.xs_tail, t.ys, t.eq1, t.eq2, t.f_value, t.index)
+                    for t in traces if t.accepted],
+        traces=traces if collect_traces else None)
 
 
 def _test_candidate(K: CompositeField, xs_tail, ys) -> CandidateTrace:
@@ -351,7 +371,6 @@ def solve(K: CompositeField, pib_source="box", box_radius: int = 20,
     L = K.L
     n = K.n
     bounds = theorem_main_bounds(K)
-    regime = bounds.regime
     radius = box_radius
 
     if isinstance(pib_source, str) and pib_source != "box":
@@ -362,22 +381,12 @@ def solve(K: CompositeField, pib_source="box", box_radius: int = 20,
         pib = _validated_pib(L, pib_source)
 
     if bounds.forces_zero_y and not _has_even_proper_divisor(n):
-        return SolverReport(
-            verdict=NOT_MONOGENIC,
-            completeness=COMPLETE,
-            regime=regime,
-            d=K.M.d,
-            bounds=bounds,
-            generators=[],
-            assumptions=[
-                "the y-part bound is below 1, forcing the y-part index form to vanish",
-                f"{_f_bounds_text(bounds)} force P(y) = 0; with I_L(y) = 0 and N(y) = +-1, "
-                f"y would generate a subfield of even degree >= 4, which L of degree {n} "
-                "cannot have: no y-part exists",
-            ],
-            candidates_tested=0,
-            traces=[] if collect_traces else None,
-        )
+        return _report(bounds, NOT_MONOGENIC, COMPLETE, [
+            _Y_VANISHES,
+            f"{_f_bounds_text(bounds)} force P(y) = 0; with I_L(y) = 0 and N(y) = +-1, "
+            f"y would generate a subfield of even degree >= 4, which L of degree {n} "
+            "cannot have: no y-part exists",
+        ], [], collect_traces)
 
     assumptions = [
         "x1 is normalized to 0: the index is invariant under rational integer translation",
@@ -402,7 +411,7 @@ def solve(K: CompositeField, pib_source="box", box_radius: int = 20,
             "subfield candidates beyond the box are not covered"
         )
     if bounds.forces_zero_y:
-        assumptions.append("the y-part bound is below 1, forcing the y-part index form to vanish")
+        assumptions.append(_Y_VANISHES)
 
     # x-parts (z = 2x + y for residue d) and y-parts: 0, the subfield zeros and
     # the indices each bound allows; every y must pass the cross-sum bound
@@ -444,34 +453,15 @@ def solve(K: CompositeField, pib_source="box", box_radius: int = 20,
             for xs_tail in xs_tails:
                 candidates.add(_canonical_candidate(xs_tail, ys))
 
-    traces = []
-    generators = []
-    for xs_tail, ys in sorted(candidates):
-        trace = _test_candidate(K, xs_tail, ys)
-        traces.append(trace)
-        if trace.accepted:
-            generators.append(Generator(xs_tail, ys, trace.eq1, trace.eq2,
-                                        trace.f_value, trace.index))
+    traces = [_test_candidate(K, xs_tail, ys) for xs_tail, ys in sorted(candidates)]
 
     # composite n: the zero sweep is box-limited whether or not it found anything
     box_limited = not pib_explicit or not is_prime(n) or real_limit or y_limit >= 2
-    completeness = BOX_LIMITED if box_limited else COMPLETE
-
-    if generators:
+    if any(t.accepted for t in traces):
         verdict = MONOGENIC
     elif y_limit >= 2:
         verdict = INCONCLUSIVE
     else:
         verdict = NOT_MONOGENIC
-
-    return SolverReport(
-        verdict=verdict,
-        completeness=completeness,
-        regime=regime,
-        d=K.M.d,
-        bounds=bounds,
-        generators=generators,
-        assumptions=assumptions,
-        candidates_tested=len(candidates),
-        traces=traces if collect_traces else None,
-    )
+    return _report(bounds, verdict, BOX_LIMITED if box_limited else COMPLETE, assumptions,
+                   traces, collect_traces)

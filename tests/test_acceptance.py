@@ -6,6 +6,7 @@ run reads as a checklist.
 """
 
 import filecmp
+import hashlib
 import json
 import random
 import time
@@ -16,9 +17,10 @@ from compib import (bounds_hold, make_composite, make_imq,
                     verify_theorem_cq)
 from compib.cli import main
 from compib.errors import ValidationError
+from compib.intutil import odd_square_free
 from compib.numberfield import make_field
 from compib.polynomials import Poly, discriminant
-from compib.simplest_quartic import (OLAJOS_A2, OLAJOS_A4,
+from compib.simplest_quartic import (OLAJOS_A2, OLAJOS_A4, d3_partial_search,
                                      family_poly_coeffs, validate_parameter)
 
 from conftest import fraction_det, reference_discriminant
@@ -71,6 +73,21 @@ def test_criterion_2_table_regeneration():
     print(f"criterion 2: PASS  16 generators regenerated in {elapsed:.2f}s")
 
 
+GRID_SHA256 = "e3665b2c00fd5d43f487786d601343784ebf4dfd2efd2bd655330d82ceb015a6"
+D3_SHA256 = "75bed018634e5dc322f9ad6611f599899184b6b9f131edfb70664588b0f0ca3f"
+
+
+def _sha256_json(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, indent=2, sort_keys=True).encode()).hexdigest()
+
+
+def test_d3_reports_are_pinned():
+    # the refactor guard for d = 3: the 19 members a <= 20 at box 8
+    members = [a for a in range(1, 21) if a != 3 and odd_square_free(a * a + 16)]
+    assert len(members) == 19
+    assert _sha256_json([d3_partial_search(a, 8) for a in members]) == D3_SHA256
+
+
 def test_criterion_3_grid():
     t0 = time.perf_counter()
     rep = verify_theorem_cq(a_max=20, d_max=30, box_radius=20, jobs=4)
@@ -82,6 +99,8 @@ def test_criterion_3_grid():
     assert all(r["verdict"] == "NOT_MONOGENIC" for r in ran)
     assert rep["counterexamples"] == []
     assert rep["all_not_monogenic"] is True
+    # the refactor guard: the north-star grid's JSON is byte-identical
+    assert _sha256_json(rep) == GRID_SHA256
     assert elapsed < 600.0
     print(f"criterion 3: PASS  {rep['ran']} cells all NOT_MONOGENIC"
           f" in {elapsed:.1f}s")

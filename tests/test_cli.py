@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+import time
 
 import pytest
 
+import compib
 from compib.cli import main
 
 
@@ -10,6 +14,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_import_stays_light():
+    # neither the pool machinery nor the test oracle loads with the package
+    src = os.path.dirname(os.path.dirname(compib.__file__))
+    code = ("import sys, compib, compib.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'sympy') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_field_info(capsys):
@@ -169,6 +184,14 @@ def test_exit_code_validation():
     assert main(["solve", "--a", "2", "--d", "4", "--box", "5"]) == 3
     assert main(["solve", "--a", "2", "--d", "1", "--box", "5"]) == 3
     assert main(["index", "--a", "2", "--coords", "1,2"]) == 3
+
+
+def test_undecided_squarefree_d_exits_3(capsys):
+    # a 31-digit prime d: trial division stops at 10^6 and refuses
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "solve", "--a", "1", "--d", str(10**30 + 57))
+    assert code == 3 and out == "" and "squarefree" in err
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_box_over_the_sweep_limit_exits_3(capsys):

@@ -25,6 +25,15 @@ def test_omega_min_poly():
     assert M2.im_omega_sq == Fraction(7, 4)
 
 
+def test_make_imq_large_d():
+    # above 10^18, d = 2*3*5*...*53 has only small factors and validates;
+    # the 31-digit prime 10^30 + 57 leaves squarefreeness undecided
+    d = 32589158477190044730
+    assert make_imq(d).d == d
+    with pytest.raises(ValidationError, match="cannot decide"):
+        make_imq(10**30 + 57)
+
+
 def test_make_imq_validation():
     for bad in (0, -3, 12, 18, Fraction(1, 2)):
         with pytest.raises(ValidationError):

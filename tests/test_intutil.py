@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -35,6 +37,22 @@ def test_is_squarefree_matches_factorint(m):
     # trial division stops at the cube root; the cofactor is then 1, a prime,
     # a product of two distinct primes or a prime square
     assert is_squarefree(m) == all(e == 1 for e in sympy.factorint(m).values())
+
+
+def test_is_squarefree_stops_trial_division():
+    # no prime factor below 10^6 and a cofactor above 10^18: undecided, at once
+    t0 = time.perf_counter()
+    for m in (10**24 + 7, 10**30 + 57):
+        with pytest.raises(ValidationError, match="cannot decide"):
+            is_squarefree(m)
+    assert time.perf_counter() - t0 < 5.0
+    # above 10^18 with only small factors: decided as before
+    primorial = math.prod(p for p in range(2, 54) if is_prime(p))
+    assert primorial > 10**19
+    assert is_squarefree(primorial)
+    assert not is_squarefree(primorial * 53)
+    # a cofactor below 10^18 after the trial bound is still decided
+    assert is_squarefree(10**18 + 9) == all(e == 1 for e in sympy.factorint(10**18 + 9).values())
 
 
 def test_odd_square_free():

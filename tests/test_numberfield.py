@@ -21,7 +21,7 @@ from compib.simplest_quartic import family_poly_coeffs, make_simplest_quartic
 
 from conftest import (CYCLO17_BASIS, CYCLO17_POLY, IDENTITY4, OCTIC_POLY, QUINTIC_POLY,
                       canonical_box, reference_char_poly, reference_cross_sum_square,
-                      reference_index, reference_norm)
+                      reference_discriminant, reference_index, reference_norm)
 
 X = sympy.Symbol("x")
 T = sympy.Symbol("t")
@@ -421,6 +421,20 @@ def _quartic(a):
     return make_simplest_quartic(a)
 
 
+def _random_quartic(roots, shift):
+    # a spread quartic with its power basis, or None when it is reducible
+    try:
+        return _power_basis_field(_spread_poly(roots, shift).coeffs)
+    except ValidationError:
+        return None
+
+
+RANDOM_QUARTICS = st.builds(
+    _random_quartic,
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=4, max_size=4, unique=True),
+    st.sampled_from((-2, -1, 1, 2))).filter(lambda L: L is not None)
+
+
 # prefixes of length 0 (n = 2), 1 (n = 3) and 2 (n = 4) along the sweep's line walk
 FIELD_KINDS = {
     "real-quadratic": st.integers(min_value=2, max_value=300).filter(
@@ -430,6 +444,7 @@ FIELD_KINDS = {
                                       if a != 3 and odd_square_free(a * a + 16)]).map(_quartic),
     # the zeros (0, k, 0), k = 1..4, put multiples of a zero inside radius 4
     "V4-power-basis": st.just((1, 0, -10, 0, 1)).map(_power_basis_field),
+    "random-quartic": RANDOM_QUARTICS,
 }
 
 
@@ -439,6 +454,19 @@ FIELD_KINDS = {
 def test_sweep_matches_exact_index(kind, data, radius):
     L = data.draw(FIELD_KINDS[kind])
     assert L._small_index_table(radius) == _brute_index_table(L, radius)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(L=RANDOM_QUARTICS, v=st.tuples(*[st.integers(min_value=-5, max_value=5)] * 3),
+       g=st.integers(min_value=2, max_value=4), c=st.integers(min_value=-3, max_value=3))
+def test_index_laws_on_random_quartics(L, v, g, c):
+    # disc(char alpha) = I(alpha)^2 * D by the Sylvester reference; I(g*x) =
+    # g^6 * I(x), the premise of the primitive-vector sweep; x_1 is free
+    idx = L.element_index(v)
+    d_alpha = reference_discriminant(L.char_poly((0, *v)))
+    assert d_alpha == idx * idx * L.disc
+    assert L.element_index(tuple(g * x for x in v)) == g**6 * idx
+    assert reference_discriminant(L.char_poly((c, *v))) == d_alpha
 
 
 def test_sweep_tests_only_primitive_vectors(monkeypatch):

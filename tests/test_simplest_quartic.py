@@ -241,6 +241,14 @@ def test_grid_validation():
         verify_theorem_cq(a_max=1, d_max=1, box_radius=0)
 
 
+def test_grid_refuses_undecidable_parameters(monkeypatch):
+    # d >= 10^18 or a > 10^9 could leave a squarefree test undecided
+    monkeypatch.setattr(simplest_quartic, "make_simplest_quartic", lambda a: 1 / 0)
+    for a_max, d_max in ((1, 10**18), (10**9 + 1, 1)):
+        with pytest.raises(ValidationError, match="below 10\\^18"):
+            verify_theorem_cq(a_max=a_max, d_max=d_max, box_radius=2)
+
+
 def test_d3_partial_search(fam1):
     rep = d3_partial_search(1, box_radius=5)
     assert rep["verdict"] == "INCONCLUSIVE"

@@ -1,9 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from compib.composite import make_composite
-from compib.errors import ValidationError
+from compib.errors import PrecisionError, ValidationError
 from compib.imquad import make_imq
 from compib.numberfield import make_field
 from compib.simplest_quartic import make_simplest_quartic, olajos_generators
@@ -56,6 +57,30 @@ def test_bounds_hold_at_generator(K_octic):
 def test_norm_unit_y1_frozen(octic_L):
     assert solve_norm_unit_y1(octic_L, (1, 0, 0)) == (-2, 0, 1)
     assert solve_norm_unit_y1(octic_L, (0, 0, 0)) == (-1, 1)
+
+
+def _power(L, coords, k):
+    """Coordinates of the k-th power of an element, by L's multiplication table."""
+    out = (1,) + (0,) * (L.n - 1)
+    for _ in range(k):
+        out = tuple(sum(out[i] * coords[j] * L.mult_table[i][r][j]
+                        for i in range(L.n) for j in range(L.n)) for r in range(L.n))
+    return out
+
+
+def test_norm_unit_y1_climbs_the_precision_ladder(fam1):
+    # xi^200 is a unit with coordinates near 10^55: at 128 bits the windows
+    # around its tail's conjugates are about 10^17 wide, so the enclosures
+    # climb until each is narrower than 1, and y1 is still found exactly
+    unit = _power(fam1, (0, 1, 0, 0), 200)
+    assert abs(fam1.element_norm(unit)) == 1 and max(map(abs, unit)) > 10**50
+    assert unit[0] in solve_norm_unit_y1(fam1, unit[1:])
+    t0 = time.perf_counter()
+    assert solve_norm_unit_y1(fam1, (10**60, 0, 0)) == ()
+    assert time.perf_counter() - t0 < 1.0
+    # past the 8192-bit cap the call refuses instead of running on
+    with pytest.raises(PrecisionError, match="8192-bit"):
+        solve_norm_unit_y1(fam1, (10**3000, 0, 0))
 
 
 def test_second_solve_reuses_field_memos(monkeypatch):
