@@ -17,6 +17,14 @@ R's power sums.  eq2 is L's exact norm of gamma, and eq1 and F are certified
 independently with interval arithmetic, which gives a nontrivial identity
 to test end to end.
 
+eq1 and F are integer forms in integer data.  Over each of the e = n(n-1)/2
+pairs of L's conjugates, with dx, dy the x and y differences and w the y
+difference (eq1) or sum (F), the factor is the bracket
+(dx + Re(omega)*dy)^2 + Im(omega)^2 * w^2, and 4 * bracket =
+(2*dx + s1*dy)^2 + |D_M| * w^2.  The embeddings enclose denom times each
+conjugate, so the product of these integer brackets is c * D_L * eq1 or
+c * |F| for c = (4*denom^2)^e, certified as a multiple of its scale.
+
 For the characteristic polynomial the relative norm to L is taken first:
 N_{K/L}(t - alpha) = t^2 - (2*beta + s1*gamma)*t + (beta^2 + s1*beta*gamma
 + s0*gamma^2) with s1, s0 the trace and norm of omega, and x is then
@@ -27,12 +35,11 @@ ones of ``numberfield``, shared with ``NumberField``.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import CoprimalityError, InternalInvariantError
 from .intervals import escalate, int_combination
 from .imquad import ImagQuadField
-from .numberfield import (NumberField, check_int_coords, index_from_char_resultant,
+from .numberfield import (NumberField, _dot, check_int_coords, index_from_char_resultant,
                           unscale_char_poly)
 from .polynomials import Poly, poly_mod_monic, resultant
 
@@ -45,6 +52,8 @@ class CompositeField:
         self.M = M
         self.n = L.n
         self.disc = M.disc**L.n * L.disc**2
+        # the product of the integer brackets is this times D_L*eq1, or |F|
+        self._pair_scale = (4 * L.denom**2) ** (self.n * (self.n - 1) // 2)
 
     def __repr__(self):
         return f"CompositeField(n={self.n}, d={self.M.d}, disc={self.disc})"
@@ -56,15 +65,7 @@ class CompositeField:
 
     def _int_scaled_power(self, coords) -> Poly:
         """Power-basis polynomial of denom * (sum coords[i] * basis[i]), integer."""
-        pc = self.L.to_power_coeffs(coords)
-        d = self.L.denom
-        out = []
-        for c in pc:
-            v = c * d
-            if v.denominator != 1:
-                raise InternalInvariantError("basis denominator does not clear coordinates")
-            out.append(int(v))
-        return Poly(out)
+        return Poly([_dot(coords, col) for col in zip(*self.L.scaled_basis)])
 
     # -- exact invariants -------------------------------------------------------
 
@@ -106,32 +107,32 @@ class CompositeField:
     # -- certified factor computations -------------------------------------------
 
     def _pair_product(self, prec: int, xs, ys, cross: bool):
-        """Product over L's conjugate pairs (j1, j2) of (x + u*y)^2 + v^2 * w^2.
+        """Product over L's conjugate pairs of (2*x + s1*y)^2 + |D_M| * w^2.
 
-        x and y are the pair differences of the x- and y-tails, u = Re(omega)
-        and v^2 = Im(omega)^2; w is the y difference for eq1 and, with
-        ``cross`` set, the y sum plus 2*y_1 for F.
+        x and y are denom times the pair differences of the x- and y-tails
+        and s1 the trace of omega; w is denom times the y difference for eq1
+        and, with ``cross`` set, the y sum plus 2*y_1 for F.
         """
-        emb = self.L.embeddings(prec)
-        u = self.M.omega_re
-        v_sq = self.M.im_omega_sq
+        L = self.L
+        emb = L.embeddings(prec)
+        s1, abs_disc = self.M.omega_trace, -self.M.disc
         xt, yt = xs[1:], ys[1:]
+        y1_twice = 2 * L.denom * ys[0]
         prod = None
         for diffs, sums in zip(emb.diffs, emb.sums):
             xd = int_combination(diffs, xt)
             yd = int_combination(diffs, yt)
-            w = int_combination(sums, yt) + 2 * ys[0] if cross else yd
-            re = xd + yd * u if u else xd
-            term = re * re + w * w * v_sq
+            w = int_combination(sums, yt) + y1_twice if cross else yd
+            re = xd * 2 + yd * s1 if s1 else xd * 2
+            term = re * re + w * w * abs_disc
             prod = term if prod is None else prod * term
         return prod
 
     def factor_eq1(self, xs, ys) -> int:
         """N_{M/Q} of the relative index form; a non-negative integer."""
         xs, ys = self._check_coords(xs, ys)
-        recip_disc = Fraction(1, self.L.disc)
-        return escalate(lambda prec: (self._pair_product(prec, xs, ys, False)
-                                      * recip_disc).certify_integer())
+        scale = self._pair_scale * self.L.disc
+        return escalate(lambda prec: self._pair_product(prec, xs, ys, False).certify_integer(scale))
 
     def factor_eq2(self, ys) -> int:
         """N_{L/Q}(gamma) for the omega-part gamma."""
@@ -148,7 +149,7 @@ class CompositeField:
         e = self.n * (self.n - 1) // 2
 
         def task(prec):
-            k = self._pair_product(prec, xs, ys, True).certify_integer()
+            k = self._pair_product(prec, xs, ys, True).certify_integer(self._pair_scale)
             if k is None:
                 return None
             return -k if e % 2 else k

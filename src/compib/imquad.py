@@ -4,11 +4,14 @@ The ring of integers is Z[omega] with omega = i*sqrt(d) when -d = 2, 3
 (mod 4) and omega = (1 + i*sqrt(d))/2 when -d = 1 (mod 4); the two cases
 differ in discriminant (-4d versus -d) and in every bound downstream, so the
 case flag is carried explicitly as ``residue``.
+
+Everything downstream reads omega through integers only: its trace s1
+(1 or 0), its norm s0 ((1 + d)/4 or d) and the discriminant D_M.  They
+satisfy s1^2 - 4*s0 = D_M, so 4*|x + omega*y|^2 = (2x + s1*y)^2 + |D_M|*y^2
+for real x and y, the bracket identity ``composite`` certifies with.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import ValidationError
 from .intutil import is_squarefree
@@ -23,9 +26,6 @@ class ImagQuadField:
         self.disc = -d if residue else -4 * d
         self.omega_trace = 1 if residue else 0        # omega + conj(omega)
         self.omega_norm = (1 + d) // 4 if residue else d
-        self.omega_re = Fraction(self.omega_trace, 2)
-        # Im(omega)^2, exact: d in the non-residue case, d/4 in the residue case
-        self.im_omega_sq = Fraction(d, 4) if residue else Fraction(d)
 
     def __repr__(self):
         return f"ImagQuadField(d={self.d}, disc={self.disc})"

@@ -2,8 +2,13 @@
 
 A ``RealInterval`` stores integer endpoints ``lo <= hi`` at a fixed scale
 ``2**-prec``, so every operation is plain integer arithmetic with outward
-rounding: the true value is always contained.  A value known in advance to
-be an integer is resolved exactly once the enclosure has width < 1/2.
+rounding: the true value is always contained.  Its operands are other
+intervals at the same precision and Python integers, nothing else; a
+``Fraction`` (or any other number) raises ``TypeError``.  Rationals stay in
+the input layer: callers evaluate integer forms at the enclosed roots, with
+integer coefficients, and a quantity known to be an integer multiple of an
+integer ``scale`` is resolved exactly once its enclosure is narrower than
+``scale/2`` (``certify_integer(scale)``).
 
 The product of two intervals is the nine-case product of interval analysis
 (Moore, Kearfott and Cloud, 2009): the signs of the four endpoints name the
@@ -51,17 +56,6 @@ class RealInterval:
         self.hi = hi
         self.prec = prec
 
-    @classmethod
-    def from_int(cls, k: int, prec: int) -> RealInterval:
-        v = k << prec
-        return cls(v, v, prec)
-
-    @classmethod
-    def from_fraction(cls, fr: Fraction, prec: int) -> RealInterval:
-        num = fr.numerator << prec
-        den = fr.denominator
-        return cls(num // den, _ceil_div(num, den), prec)
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
@@ -72,8 +66,6 @@ class RealInterval:
         if isinstance(other, int):
             k = other << self.prec
             return RealInterval(self.lo + k, self.hi + k, self.prec)
-        if isinstance(other, Fraction):
-            return self + RealInterval.from_fraction(other, self.prec)
         return NotImplemented
 
     __radd__ = __add__
@@ -82,7 +74,7 @@ class RealInterval:
         return RealInterval(-self.hi, -self.lo, self.prec)
 
     def __sub__(self, other):
-        if isinstance(other, (RealInterval, int, Fraction)):
+        if isinstance(other, (RealInterval, int)):
             return self + (-other)
         return NotImplemented
 
@@ -122,12 +114,6 @@ class RealInterval:
             if other >= 0:
                 return RealInterval(self.lo * other, self.hi * other, p)
             return RealInterval(self.hi * other, self.lo * other, p)
-        if isinstance(other, Fraction):
-            num, den = other.numerator, other.denominator
-            a, b = self.lo * num, self.hi * num
-            if a > b:
-                a, b = b, a
-            return RealInterval(a // den, _ceil_div(b, den), p)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -155,23 +141,22 @@ class RealInterval:
         khi = self.hi >> self.prec
         return klo, khi
 
-    def certify_integer(self) -> int | None:
-        """The unique integer inside, provided the width is < 1/2.
+    def certify_integer(self, scale: int = 1) -> int | None:
+        """The unique k with k*scale inside, provided the width is < scale/2.
 
-        Returns None when the interval is still too wide.  An interval that
-        is narrow enough but excludes all integers raises: the true value was
-        promised to be an integer, so the enclosure or the promise is wrong.
+        ``scale`` is a positive integer.  Returns None when the interval is
+        still too wide.  An interval that is narrow enough but holds no
+        multiple of scale raises: the true value was promised to be one, so
+        the enclosure or the promise is wrong.
         """
-        if self.hi - self.lo >= 1 << (self.prec - 1):
+        unit = scale << self.prec
+        if 2 * (self.hi - self.lo) >= unit:
             return None
-        klo, khi = self.integer_range()
-        if klo > khi:
+        k = _ceil_div(self.lo, unit)
+        if k * unit > self.hi:
             raise InternalInvariantError(
-                "narrow enclosure excludes all integers for an integer-valued quantity"
-            )
-        if klo != khi:
-            raise InternalInvariantError("width < 1/2 cannot contain two integers")
-        return klo
+                "narrow enclosure excludes every multiple of the scale of an integer quantity")
+        return k
 
     def __repr__(self):
         return f"RealInterval({float(self.mid()):.6g} ± {float(self.width()) / 2:.3g} @{self.prec}b)"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .errors import ValidationError
@@ -21,31 +22,29 @@ SQUAREFREE_TRIAL_MAX = 10**6
 def is_squarefree(m: int) -> bool:
     """True iff no prime square divides m; m >= 1.
 
-    Trial division runs only while p^3 <= m for the cofactor m left so far.
-    That cofactor then has no prime factor below p, so it has at most two,
-    and it is squarefree unless it is the square of a prime.  Division stops
-    at p = ``SQUAREFREE_TRIAL_MAX``; a cofactor still above 10^18 there is
-    undecided, and raises ValidationError.
+    Trial division by 2, 3 and the numbers 6k +- 1 runs only while p^3 <= m
+    for the cofactor m left so far; each candidate costs one remainder, and
+    only a divisor is tested for its square.  The cofactor then has no prime
+    factor below p, so it has at most two, and it is squarefree unless it is
+    the square of a prime.  Division stops at p = ``SQUAREFREE_TRIAL_MAX``;
+    a cofactor still above 10^18 there is undecided, and raises
+    ValidationError.
     """
     if m < 1:
         raise ValidationError("squarefree test expects m >= 1")
-    if m % 4 == 0:
-        return False
     m0 = m
-    if m % 2 == 0:
-        m //= 2
-    p = 3
-    while p * p * p <= m:
+    six_k_pm_1 = itertools.chain.from_iterable(zip(itertools.count(5, 6), itertools.count(7, 6)))
+    for p in itertools.chain((2, 3), six_k_pm_1):
+        if p * p * p > m:
+            return m == 1 or exact_sqrt(m) is None
         if p >= SQUAREFREE_TRIAL_MAX:
             raise ValidationError(
                 f"cannot decide whether {m0} is squarefree: a cofactor above 10^18 "
                 f"has no prime factor below {SQUAREFREE_TRIAL_MAX}")
-        if m % (p * p) == 0:
-            return False
         if m % p == 0:
             m //= p
-        p += 2
-    return m == 1 or exact_sqrt(m) is None
+            if m % p == 0:
+                return False
 
 
 def odd_square_free(m: int) -> bool:

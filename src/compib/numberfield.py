@@ -8,6 +8,11 @@ realness, ring closure of the basis, and the discriminant; the returned
 computes and offers exact characteristic polynomials, norms, and index
 computations, plus sweeps over coordinate boxes.
 
+The rational rows stay in the input layer (``basis``, ``describe``); below
+it the field holds one integer matrix, ``scaled_basis`` = denom * basis.
+The embeddings evaluate its rows, so every enclosure of a conjugate, or of
+a difference or sum of two, is of denom times that value.
+
 A box sweep walks the box line by line along the last coordinate.  The
 difference forms of the index form are interval enclosures, built once per
 line and stepped by exact interval additions; the absolute value of their
@@ -87,9 +92,13 @@ def _fixed_decimal(fr: Fraction, places: int) -> str:
 
 def unscale_char_poly(r: Poly, denom: int) -> Poly:
     """char_alpha(t) = R(denom*t) / denom^m for R the monic characteristic
-    polynomial (degree m) of denom*alpha."""
+    polynomial (degree m) of denom*alpha; alpha is integral, so each
+    coefficient division is exact."""
     m = r.degree
-    return Poly([Fraction(c, denom ** (m - k)) for k, c in enumerate(r.coeffs)])
+    coeffs = [divmod(c, denom ** (m - k)) for k, c in enumerate(r.coeffs)]
+    if any(rem for _, rem in coeffs):
+        raise InternalInvariantError("integral element with a non-integral char polynomial")
+    return Poly([q for q, _ in coeffs])
 
 
 def index_from_char_resultant(r: Poly, denom: int, disc: int) -> int:
@@ -304,7 +313,12 @@ def _root_subset_factor(f: Poly, roots: list[IsolatedRoot]) -> int:
 
 
 class _Embeddings:
-    """Interval data for all real embeddings of a field at one precision."""
+    """Interval data for all real embeddings of a field at one precision.
+
+    Each enclosure is of denom times its value: ``basis_vals[j][i]`` holds
+    denom * b_i at the j-th root, ``diffs`` and ``sums`` the differences and
+    sums of the non-constant ones over each pair of roots.
+    """
 
     __slots__ = ("prec", "basis_vals", "diffs", "sums")
 
@@ -312,7 +326,7 @@ class _Embeddings:
         self.prec = prec
         root_ivs = [r.to_interval(prec) for r in field.roots]
         self.basis_vals = [
-            [Poly(row).evaluate(iv) for row in field.basis] for iv in root_ivs
+            [Poly(row).evaluate(iv) for row in field.scaled_basis] for iv in root_ivs
         ]
         self.diffs = []
         self.sums = []
@@ -325,12 +339,13 @@ class _Embeddings:
 class NumberField:
     """Totally real field Q[x]/(f) with integral basis rows in the power basis."""
 
-    def __init__(self, f: Poly, basis: tuple[tuple[Fraction, ...], ...], disc: int,
+    def __init__(self, f: Poly, scaled_basis: tuple[tuple[int, ...], ...], disc: int,
                  denom: int, roots: list[IsolatedRoot],
                  mult_table: tuple[tuple[tuple[int, ...], ...], ...]):
         self.f = f
         self.n = f.degree
-        self.basis = basis
+        self.scaled_basis = scaled_basis       # denom * basis, all the arithmetic reads
+        self.basis = tuple(tuple(Fraction(c, denom) for c in row) for row in scaled_basis)
         # mult_table[i] is the integer matrix of multiplication by b_i:
         # column j holds the coordinates of b_i*b_j
         self.mult_table = mult_table
@@ -344,23 +359,13 @@ class NumberField:
         e = self.n * (self.n - 1) // 2
         self._index_limit = max(1, floor_sqrt_fraction(Fraction(4**e, disc)),
                                 floor_sqrt_fraction(Fraction(4**e, 3**e)))
+        # the difference forms' product encloses I_L * sqrt(this)
+        self._scaled_disc = disc * denom ** (2 * e)
         self._sweep_cache: dict[int, tuple] = {}
         # solver memos, exact per field: y1 solutions by y-tail, and
         # validated generator tables by their input vectors
         self._unit_y1_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._pib_cache: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] = {}
-
-    # -- coordinates ---------------------------------------------------------
-
-    def to_power_coeffs(self, coords) -> tuple[Fraction, ...]:
-        if len(coords) != self.n:
-            raise ValidationError(f"expected {self.n} coordinates, got {len(coords)}")
-        out = [Fraction(0)] * self.n
-        for c, row in zip(coords, self.basis):
-            if c:
-                for i, r in enumerate(row):
-                    out[i] += c * r
-        return tuple(out)
 
     # -- exact invariants ----------------------------------------------------
 
@@ -431,7 +436,7 @@ class NumberField:
 
     def index_form_interval(self, xs, prec: int) -> RealInterval:
         """Enclosure of the signed index form at xs (true value is an integer)."""
-        prod = sqrt_int(self.disc, prec).recip()
+        prod = sqrt_int(self._scaled_disc, prec).recip()
         for diffs in self.embeddings(prec).diffs:
             prod = prod * int_combination(diffs, xs)
         return prod
@@ -455,11 +460,11 @@ class NumberField:
 
         Each difference form is built once per line and then stepped by one
         exact interval addition of its last-coordinate difference, at every
-        t.  Their product P encloses I_L * sqrt(D_L).  With m the endpoint
-        of P nearest 0 (0 when P holds 0), a vector whose m^2 is certainly
-        above limit^2 * D_L is skipped, with no interval square; the
-        interval only excludes, and every other primitive vector gets its
-        exact ``element_index``.
+        t.  Their product P encloses denom^e * I_L * sqrt(D_L).  With m the
+        endpoint of P nearest 0 (0 when P holds 0), a vector whose m^2 is
+        certainly above limit^2 * D_L * denom^(2e) is skipped, with no
+        interval square; the interval only excludes, and every other
+        primitive vector gets its exact ``element_index``.
         """
         validate_box_radius(radius, self.n)
         hit = self._sweep_cache.get(radius)
@@ -468,7 +473,7 @@ class NumberField:
         emb = self.embeddings(PREC_START)
         steps = [d[-1] for d in emb.diffs]
         limit = self._index_limit
-        ceiling = (limit * limit * self.disc) << PREC_START
+        ceiling = (limit * limit * self._scaled_disc) << PREC_START
         found = []
         for prefix in itertools.product(range(-radius, radius + 1), repeat=self.n - 2):
             lead = next((v for v in prefix if v), 0)
@@ -637,7 +642,7 @@ def make_field(poly_coeffs, basis_rows, expected_disc: int | None = None) -> Num
         raise ValidationError(f"discriminant mismatch: computed {disc}, expected {expected_disc}")
 
     table = _multiplication_table(f, scaled, inv, denom * det)
-    return NumberField(f, tuple(rows), disc, denom, roots, table)
+    return NumberField(f, tuple(map(tuple, scaled)), disc, denom, roots, table)
 
 
 def field_from_dict(data: dict) -> NumberField:

@@ -131,23 +131,8 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise InternalInvariantError("negative polynomial power")
-        out = Poly([1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def derivative(self) -> Poly:
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def evaluate(self, x):
-        """Horner evaluation; x may be an int, Fraction, or RealInterval."""
+        """Horner evaluation at an int, a Fraction, or (integer coefficients) a RealInterval."""
         if not self.coeffs:
             return x * 0
         acc = self.coeffs[-1]

@@ -140,22 +140,29 @@ def _solve_a_group(args) -> tuple[int, list[dict], float]:
     return a, rows, time.monotonic() - t0
 
 
+# the most cells (a_max * d_max) a grid may hold, a fixed constant like
+# MAX_BOX_VECTORS: 10^5 cells at box 2 took 1-3 s and about 45 MB, and every
+# d stays far below 10^18, where a squarefree test could be undecided
+MAX_GRID_CELLS = 10**5
+
+
 def verify_theorem_cq(a_max: int = 20, d_max: int = 30, box_radius: int = 20,
                       jobs: int = 1, progress=None) -> dict:
     """Solve the composite field for every a <= a_max and squarefree d <= d_max.
 
     Cells with invalid a, non-squarefree d, shared discriminant factors, or
     d = 3 are skipped with a reason.  Any MONOGENIC cell is reported as a
-    counterexample; the expected outcome is NOT_MONOGENIC everywhere.
-    ``progress``, if given, receives one line per finished a-group.
+    counterexample; the expected outcome is NOT_MONOGENIC everywhere.  A
+    grid of more than ``MAX_GRID_CELLS`` cells is refused before any field
+    is built.  ``progress``, if given, receives one line per finished a-group.
     """
     for name, val in (("a_max", a_max), ("d_max", d_max), ("jobs", jobs),
                       ("box_radius", box_radius)):
         if not isinstance(val, int) or isinstance(val, bool) or val < 1:
             raise ValidationError(f"{name} must be a positive integer")
-    # past these, a cell's squarefree test may be undecided
-    if d_max >= 10**18 or a_max > 10**9:
-        raise ValidationError("d_max must be below 10^18 and a_max at most 10^9")
+    if a_max * d_max > MAX_GRID_CELLS:
+        raise ValidationError(f"a_max * d_max = {a_max * d_max} cells is above the grid limit "
+                              f"of {MAX_GRID_CELLS}")
     validate_box_radius(box_radius, 4)
     d_values = list(range(1, d_max + 1))
     tasks = [(a, d_values, box_radius) for a in range(1, a_max + 1)]

@@ -192,12 +192,14 @@ def solve_norm_unit_y1(L: NumberField, ytail) -> tuple[int, ...]:
     g = L.char_poly(neg)
 
     def task(prec):
+        # each enclosure is of denom times a conjugate of the negated tail
+        unit = L.denom << prec
         cands: set[int] = set()
         for vals in L.embeddings(prec).basis_vals:
             acc = int_combination(vals[1:], neg[1:])
-            if acc.hi - acc.lo >= 1 << prec:
+            if acc.hi - acc.lo >= unit:
                 return None
-            cands.update(range((acc.lo >> prec) - 1, -(-acc.hi >> prec) + 2))
+            cands.update(range(acc.lo // unit - 1, -(-acc.hi // unit) + 2))
         return cands
 
     cands = escalate(task)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from compib import make_composite, make_field, make_imq, make_simplest_quartic
+from compib.intervals import RealInterval
 from compib.numberfield import unscale_char_poly
 from compib.polynomials import Poly, clear_denominators, resultant
 
@@ -25,6 +26,38 @@ CYCLO17_BASIS = (
     (0, -3, 0, 1, 0, 0, 0, 0), (2, 0, -4, 0, 1, 0, 0, 0), (0, 5, 0, -5, 0, 1, 0, 0),
     (-2, 0, 9, 0, -6, 0, 1, 0), (0, -7, 0, 14, 0, -7, 0, 1),
 )
+
+
+# -- helpers that only tests use; the library works in integers ------------------
+
+
+def interval_from_int(k: int, prec: int) -> RealInterval:
+    """The point interval of an integer."""
+    return RealInterval(k << prec, k << prec, prec)
+
+
+def interval_from_fraction(fr: Fraction, prec: int) -> RealInterval:
+    """The tightest interval at prec bits around a rational."""
+    num = fr.numerator << prec
+    return RealInterval(num // fr.denominator, -(-num // fr.denominator), prec)
+
+
+def poly_pow(p: Poly, k: int) -> Poly:
+    """p^k for k >= 0 by repeated multiplication."""
+    out = Poly([1])
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+def derivative(p: Poly) -> Poly:
+    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def to_power_coeffs(L, coords) -> tuple[Fraction, ...]:
+    """Power-basis coordinates of sum(coords[i] * basis[i]), from the rational rows."""
+    return tuple(sum((c * row[i] for c, row in zip(coords, L.basis)), Fraction(0))
+                 for i in range(L.n))
 
 
 def contains_fraction(iv, fr: Fraction) -> bool:
@@ -70,7 +103,7 @@ def reference_discriminant(p: Poly):
     route."""
     n = p.degree
     g, den = clear_denominators(p)
-    r = resultant(g, g.derivative())
+    r = resultant(g, derivative(g))
     disc, rem = divmod(-r if (n * (n - 1) // 2) % 2 else r, g.lc)
     assert rem == 0
     return disc if den == 1 else Fraction(disc, den ** (2 * n - 2))
@@ -80,10 +113,10 @@ def reference_char_resultant(L, coords):
     """(R, D) with R(s) = Res_x(f, s - D*h(x)) for h the power coordinates of
     alpha and D their denominator: the monic integer characteristic
     polynomial of D*alpha, so char_alpha(t) = R(D*t) / D^n."""
-    b, d = clear_denominators(Poly(L.to_power_coeffs(coords)))
+    b, d = clear_denominators(Poly(to_power_coeffs(L, coords)))
     if b.degree <= 0:
         c = b.coeffs[0] if b.coeffs else 0
-        return Poly([-c, 1]) ** L.n, d
+        return poly_pow(Poly([-c, 1]), L.n), d
     entries = [Poly([-bj]) for bj in b.coeffs]
     entries[0] = Poly([-b.coeffs[0], 1])
     r = resultant(L.f, Poly(entries))

@@ -7,6 +7,7 @@ import time
 import pytest
 
 import compib
+from compib import simplest_quartic
 from compib.cli import main
 
 
@@ -192,6 +193,14 @@ def test_undecided_squarefree_d_exits_3(capsys):
     code, out, err = run(capsys, "solve", "--a", "1", "--d", str(10**30 + 57))
     assert code == 3 and out == "" and "squarefree" in err
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_grid_over_the_cell_limit_exits_3(capsys, monkeypatch):
+    # 10^17 cells: refused before any field is built
+    monkeypatch.setattr(simplest_quartic, "make_simplest_quartic", lambda a: 1 / 0)
+    code, out, err = run(capsys, "verify-cq", "--d-max", str(10**17))
+    assert code == 3 and out == ""
+    assert err.startswith("error: a_max * d_max = 2000000000000000000 cells is above the grid limit")
 
 
 def test_box_over_the_sweep_limit_exits_3(capsys):

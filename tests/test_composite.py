@@ -1,3 +1,6 @@
+import hashlib
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -12,15 +15,16 @@ from compib.polynomials import Poly, resultant
 from compib.simplest_quartic import make_simplest_quartic
 from compib.solver import bounds_hold, solve_norm_unit_y1
 
-from conftest import IDENTITY4, OCTIC_POLY, reference_discriminant, reference_norm
+from conftest import (IDENTITY4, OCTIC_POLY, reference_discriminant, reference_norm,
+                      to_power_coeffs)
 
 
 def _char_poly_reference(K, xs, ys) -> Poly:
     """Oracle for char_poly: eliminate omega-first, literally, over Q[y][t]."""
     xs, ys = K._check_coords(xs, ys)
     n = K.n
-    beta = K.L.to_power_coeffs(xs)
-    gamma = K.L.to_power_coeffs(ys)
+    beta = to_power_coeffs(K.L, xs)
+    gamma = to_power_coeffs(K.L, ys)
 
     def t_const(fr):
         return Poly([Fraction(fr)])
@@ -59,8 +63,8 @@ def test_coprimality_enforced(fam2):
 
 def test_octic_char_poly(K_octic):
     char = K_octic.char_poly((0, 0, 0, 0), (0, 1, 0, 0))
-    assert [int(c) for c in char.coeffs] == [1, 0, 9, 0, 18, 0, 8, 0, 1]
-    assert all(c.denominator == 1 for c in char.coeffs)
+    assert list(char.coeffs) == [1, 0, 9, 0, 18, 0, 8, 0, 1]
+    assert all(type(c) is int for c in char.coeffs)
 
 
 def test_octic_generator_index(K_octic):
@@ -170,3 +174,30 @@ def test_factorization_identity_large_coordinates(bound, top_prec):
             assert fac["eq2"] == reference_norm(L, ys)
             assert reference_discriminant(K.char_poly(xs, ys)) == fac["index"] ** 2 * K.disc
         assert max(L._emb) == top_prec
+
+
+# sha256 of the factorizations below: eq1, eq2, F and the index bit for bit,
+# so a refactor of any of their routes must keep it
+FACTORIZATION_SHA256 = "5c5efa6510d7e4365e7427f9fef63312b66987d09da0e155ba7a55d02d230af9"
+
+
+def test_factorization_is_pinned():
+    # the octic example's base field and L_1, L_2, L_4, L_8; every d in
+    # (1, 2, 3, 7) coprime to D_L, so both residue classes of d; coordinates
+    # up to 4, 10^4 and 10^6, two seeded elements per bound
+    rng = random.Random(2025)
+    fields = [make_field(OCTIC_POLY, IDENTITY4)] + [make_simplest_quartic(a) for a in (1, 2, 4, 8)]
+    rows = []
+    for L in fields:
+        for d in (1, 2, 3, 7):
+            M = make_imq(d)
+            if math.gcd(L.disc, abs(M.disc)) != 1:
+                continue
+            K = make_composite(L, M)
+            for bound in (4, 10**4, 10**6):
+                for _ in range(2):
+                    xs, ys = [tuple(rng.randint(-bound, bound) for _ in range(4)) for _ in range(2)]
+                    rows.append([L.disc, d, xs, ys, K.factorization(xs, ys)])
+    assert {d for _, d, *_ in rows} == {1, 2, 3, 7}
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == FACTORIZATION_SHA256

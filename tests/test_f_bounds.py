@@ -23,7 +23,8 @@ from compib.simplest_quartic import olajos_generators
 from compib.solver import (_canonical_candidate, _signed, _validated_pib, solve_norm_unit_y1,
                            theorem_main_bounds)
 
-from conftest import CYCLO17_BASIS, CYCLO17_POLY, IDENTITY4, OCTIC_POLY, canonical_box
+from conftest import (CYCLO17_BASIS, CYCLO17_POLY, IDENTITY4, OCTIC_POLY, canonical_box,
+                      to_power_coeffs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,7 +88,7 @@ def _base_field(label):
 
 def _square_tail(L, ys):
     """Basis coordinates of y^2 (without the first), by arithmetic in Q[x]/(f)."""
-    h = Poly(L.to_power_coeffs(ys))
+    h = Poly(to_power_coeffs(L, ys))
     sq = poly_mod_monic(h * h, L.f).coeffs
     sq = [sympy.Rational(c.numerator, c.denominator) for c in sq]
     sq += [0] * (L.n - len(sq))
@@ -115,8 +116,8 @@ def test_f_bounds_on_random_elements(label, d, xs, ys):
     e = L.n * (L.n - 1) // 2
     f_abs = abs(K.factor_F(xs, ys))
     p_sq = L.cross_sum_square(ys)
-    # cross-sum bound: |F| >= v^(2e) * P(y)^2
-    assert f_abs >= M.im_omega_sq ** e * p_sq
+    # cross-sum bound: |F| >= v^(2e) * P(y)^2, with v^2 = Im(omega)^2 = |D_M|/4
+    assert 4**e * f_abs >= abs(M.disc) ** e * p_sq
     # real-part bound
     if M.residue:
         iz = L.element_index(tuple(2 * x + y for x, y in zip(xs[1:], ys[1:])))

@@ -21,8 +21,11 @@ def test_omega_min_poly():
     assert [M1.omega_norm, -M1.omega_trace, 1] == [5, 0, 1]
     M2 = make_imq(7)
     assert [M2.omega_norm, -M2.omega_trace, 1] == [2, -1, 1]
-    assert M2.omega_re == Fraction(1, 2)
-    assert M2.im_omega_sq == Fraction(7, 4)
+    # omega's minimal polynomial has discriminant D_M, the identity behind
+    # the integer brackets of eq1 and F
+    for d in (1, 2, 3, 5, 6, 7, 11, 15, 23, 30):
+        M = make_imq(d)
+        assert M.omega_trace**2 - 4 * M.omega_norm == M.disc
 
 
 def test_make_imq_large_d():

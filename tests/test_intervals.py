@@ -9,20 +9,20 @@ from compib.errors import InternalInvariantError, PrecisionError
 from compib.intervals import (RealInterval, escalate, int_combination,
                               sqrt_int)
 
-from conftest import contains_fraction
+from conftest import contains_fraction, interval_from_fraction, interval_from_int
 
 rationals = st.fractions(min_value=-1000, max_value=1000,
                          max_denominator=997)
 
 
 def test_from_fraction_contains():
-    iv = RealInterval.from_fraction(Fraction(1, 3), 64)
+    iv = interval_from_fraction(Fraction(1, 3), 64)
     assert contains_fraction(iv, Fraction(1, 3))
     assert iv.width() < Fraction(1, 2**60)
 
 
 def test_exact_int_has_zero_width():
-    iv = RealInterval.from_int(7, 32)
+    iv = interval_from_int(7, 32)
     assert iv.lo == iv.hi
     assert iv.certify_integer() == 7
 
@@ -31,33 +31,68 @@ def test_exact_int_has_zero_width():
 @given(rationals, rationals)
 def test_arithmetic_containment(a, b):
     prec = 80
-    ia = RealInterval.from_fraction(a, prec)
-    ib = RealInterval.from_fraction(b, prec)
+    ia = interval_from_fraction(a, prec)
+    ib = interval_from_fraction(b, prec)
     assert contains_fraction(ia + ib, a + b)
     assert contains_fraction(ia - ib, a - b)
     assert contains_fraction(ia * ib, a * b)
     assert contains_fraction(ia * 3, 3 * a)
-    assert contains_fraction(ia + Fraction(1, 7), a + Fraction(1, 7))
+    assert contains_fraction(ia + 7, a + 7)
+    assert contains_fraction(ia - 7, a - 7)
+    assert contains_fraction(7 - ia, 7 - a)
     assert contains_fraction(-ia, -a)
 
 
 def test_recip():
-    iv = RealInterval.from_fraction(Fraction(1, 3), 96)
+    iv = interval_from_fraction(Fraction(1, 3), 96)
     assert contains_fraction(iv.recip(), Fraction(3))
-    zero = RealInterval.from_int(0, 32)
+    zero = interval_from_int(0, 32)
     with pytest.raises(InternalInvariantError):
         zero.recip()
 
 
 def test_certify_integer():
-    wide = RealInterval.from_fraction(Fraction(1, 2), 8) + RealInterval(-64, 64, 8)
+    wide = interval_from_fraction(Fraction(1, 2), 8) + RealInterval(-64, 64, 8)
     assert wide.certify_integer() is None
-    narrow = RealInterval.from_fraction(Fraction(5, 1), 64)
+    narrow = interval_from_fraction(Fraction(5, 1), 64)
     assert narrow.certify_integer() == 5
     # narrow but containing no integer: the promise of an integer is broken
-    third = RealInterval.from_fraction(Fraction(1, 3), 64)
+    third = interval_from_fraction(Fraction(1, 3), 64)
     with pytest.raises(InternalInvariantError):
         third.certify_integer()
+    # with a scale: width exactly scale/2 is still too wide, one unit less is not
+    unit = 6 << 8
+    assert RealInterval(0, unit // 2, 8).certify_integer(6) is None
+    assert RealInterval(0, unit // 2 - 1, 8).certify_integer(6) == 0
+    assert RealInterval(-unit - 1, -unit + 1, 8).certify_integer(6) == -1
+    with pytest.raises(InternalInvariantError):
+        RealInterval(1, unit // 2, 8).certify_integer(6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 10**6), st.integers(-10**6, 10**6), st.sampled_from([8, 64, 128]),
+       st.integers(0, 1 << 160), st.integers(0, 1 << 160))
+def test_certify_integer_with_scale(scale, k, prec, below, above):
+    unit = scale << prec
+    # an interval around k*scale, reaching less than one spacing to each side
+    below, above = below % unit, above % unit
+    iv = RealInterval(k * unit - below, k * unit + above, prec)
+    assert iv.certify_integer(scale) == (k if 2 * (below + above) < unit else None)
+    # a narrow interval strictly between k*scale and (k+1)*scale holds no multiple
+    off = 1 + below % (unit - 1)
+    width = min(above % ((unit + 1) // 2), unit - 1 - off)
+    with pytest.raises(InternalInvariantError, match="excludes every multiple of the scale"):
+        RealInterval(k * unit + off, k * unit + off + width, prec).certify_integer(scale)
+
+
+def test_operands_are_intervals_and_integers_only():
+    iv = interval_from_int(3, 64)
+    for other in (Fraction(1, 2), Fraction(4), 0.5):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(iv, other)
+            with pytest.raises(TypeError):
+                op(other, iv)
 
 
 def test_sqrt_int():
@@ -94,7 +129,7 @@ def test_escalate_returns_first_success():
 @given(st.lists(st.tuples(rationals, st.integers(-10**6, 10**6) | st.just(0)),
                 min_size=1, max_size=6))
 def test_int_combination_contains(terms):
-    vals = [RealInterval.from_fraction(q, 128) for q, _ in terms]
+    vals = [interval_from_fraction(q, 128) for q, _ in terms]
     coeffs = [c for _, c in terms]
     acc = int_combination(vals, coeffs)
     assert contains_fraction(acc, sum(c * q for q, c in terms))

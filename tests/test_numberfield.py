@@ -10,7 +10,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from compib import numberfield
+from compib import make_composite, make_imq, numberfield
 from compib.errors import ValidationError
 from compib.intervals import PREC_START
 from compib.intutil import odd_square_free
@@ -175,11 +175,19 @@ def test_sqrt2_field():
     assert L.element_index((3,)) == 3
 
 
-def test_coordinate_roundtrip(fam2):
+def test_coordinate_roundtrip():
+    # the one integer matrix, denom * basis, read through K's power
+    # coordinates, against the Fraction inverse of the rational rows; the
+    # members 1, 2, 4, 8 have denominators 2, 2, 4, 4
     rng = random.Random(7)
-    for _ in range(20):
-        coords = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2))) for _ in range(4))
-        assert _from_power_reference(fam2.basis, fam2.to_power_coeffs(coords)) == coords
+    for a in (1, 2, 4, 8):
+        L = make_simplest_quartic(a)
+        assert L.scaled_basis == tuple(tuple(int(c * L.denom) for c in row) for row in L.basis)
+        K = make_composite(L, make_imq(3))
+        for _ in range(20):
+            coords = tuple(rng.randint(-9, 9) for _ in range(4))
+            power = [Fraction(c, L.denom) for c in K._int_scaled_power(coords).coeffs]
+            assert _from_power_reference(L.basis, power) == coords
 
 
 def test_multiply_coords_matches_sympy(fam2):

@@ -18,8 +18,8 @@ from compib.polynomials import (IsolatedRoot, Poly, _sturm_chain_int,
                                 isolate_real_roots, poly_mod_monic, resultant)
 from compib.simplest_quartic import make_simplest_quartic, validate_parameter
 
-from conftest import (IDENTITY4, OCTIC_POLY, QUINTIC_POLY, contains_fraction,
-                      reference_discriminant)
+from conftest import (IDENTITY4, OCTIC_POLY, QUINTIC_POLY, contains_fraction, derivative,
+                      interval_from_fraction, poly_pow, reference_discriminant)
 
 X = sympy.Symbol("x")
 
@@ -41,8 +41,9 @@ def test_poly_basics():
 
 def test_poly_pow_and_derivative():
     p = Poly([1, 1])
-    assert p**3 == Poly([1, 3, 3, 1])
-    assert Poly([5, -2, 0, 7]).derivative() == Poly([-2, 0, 21])
+    assert poly_pow(p, 3) == Poly([1, 3, 3, 1])
+    assert poly_pow(p, 0) == Poly([1])
+    assert derivative(Poly([5, -2, 0, 7])) == Poly([-2, 0, 21])
 
 
 def test_exact_div():
@@ -85,7 +86,7 @@ def _primitive_reference(p: Poly) -> list[int]:
 def _sturm_chain_reference(coeffs) -> list[list[int]]:
     """Sturm chain by Euclid's remainders over Q, f, f', -rem, ..., as the
     integer route replaced it, each member reported as its primitive part."""
-    chain = [Poly(coeffs), Poly(coeffs).derivative()]
+    chain = [Poly(coeffs), derivative(Poly(coeffs))]
     while chain[-1].degree > 0:
         rem = _divmod_q(chain[-2], chain[-1])[1]
         if rem.is_zero():
@@ -395,8 +396,8 @@ def test_refine_matches_fraction_bisection(coeffs, j, widths):
         lo, hi, exact = _refine_reference(scaled, lo, hi, exact, Fraction(1, 1 << 64))
         iv = r.to_interval(64)
         assert _state(r) == (lo, hi, exact)
-        assert (iv.lo, iv.hi) == (RealInterval.from_fraction(lo, 64).lo,
-                                  RealInterval.from_fraction(hi, 64).hi)
+        assert (iv.lo, iv.hi) == (interval_from_fraction(lo, 64).lo,
+                                  interval_from_fraction(hi, 64).hi)
 
 
 def test_rational_root_on_a_midpoint_becomes_exact():
@@ -437,7 +438,7 @@ def _embedding_fields():
 
 
 def _value_key(v):
-    # basis value at one root: an interval, or a rational for a constant row
+    # basis value at one root: an interval, or an integer for a constant row
     return (v.lo, v.hi, v.prec) if isinstance(v, RealInterval) else v
 
 
@@ -448,10 +449,12 @@ def test_embeddings_match_fraction_bisection():
         for prec in (128, 256, 512, 1024):
             w = Fraction(1, 1 << prec)
             states = [_refine_reference(r.coeffs, *st_, w) for r, st_ in zip(L.roots, states)]
-            ivs = [RealInterval(RealInterval.from_fraction(lo, prec).lo,
-                                RealInterval.from_fraction(hi, prec).hi, prec)
+            ivs = [RealInterval(interval_from_fraction(lo, prec).lo,
+                                interval_from_fraction(hi, prec).hi, prec)
                    for lo, hi, _ in states]
-            expect = [[_value_key(Poly(row).evaluate(iv)) for row in L.basis] for iv in ivs]
+            # the embeddings enclose denom * b_i, from integer rows
+            rows = [Poly([int(c * L.denom) for c in row]) for row in L.basis]
+            expect = [[_value_key(row.evaluate(iv)) for row in rows] for iv in ivs]
             got = [[_value_key(v) for v in row] for row in L.embeddings(prec).basis_vals]
             assert got == expect, (name, prec)
             assert [_state(r) for r in L.roots] == states, (name, prec)

@@ -242,11 +242,16 @@ def test_grid_validation():
 
 
 def test_grid_refuses_undecidable_parameters(monkeypatch):
-    # d >= 10^18 or a > 10^9 could leave a squarefree test undecided
+    # d >= 10^18 or a > 10^9 could leave a squarefree test undecided; the
+    # cell limit refuses both, and every grid above it, before any field
     monkeypatch.setattr(simplest_quartic, "make_simplest_quartic", lambda a: 1 / 0)
-    for a_max, d_max in ((1, 10**18), (10**9 + 1, 1)):
-        with pytest.raises(ValidationError, match="below 10\\^18"):
+    limit = simplest_quartic.MAX_GRID_CELLS
+    for a_max, d_max in ((1, 10**18), (10**9 + 1, 1), (1, limit + 1), (2, limit // 2 + 1)):
+        with pytest.raises(ValidationError, match=f"above the grid limit of {limit}"):
             verify_theorem_cq(a_max=a_max, d_max=d_max, box_radius=2)
+    # a grid at the limit passes the check and reaches the field build
+    with pytest.raises(ZeroDivisionError):
+        verify_theorem_cq(a_max=2, d_max=limit // 2, box_radius=2)
 
 
 def test_d3_partial_search(fam1):
